@@ -3,17 +3,22 @@
 // Decode-and-copy term of the §4.2 model in isolation — plus the bulk
 // fast path (one put_bytes/get_bytes memcpy of a pointer-free primitive
 // array, the same-architecture PNEW body) against the per-element
-// canonical loop it replaces.
+// canonical loop it replaces, and the CRC-32 integrity kernel against
+// the byte-at-a-time loop.
 //
 // Writes BENCH_xdr.json (hpm-bench-v1; override with --json PATH). With
 // --smoke, skips google-benchmark and times one small encode/decode pass.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <array>
 #include <chrono>
+#include <cstdio>
 #include <cstring>
 
+#include "common/crc32.hpp"
 #include "emit.hpp"
+#include "msrm/stream.hpp"
 #include "xdr/value.hpp"
 
 namespace {
@@ -159,6 +164,72 @@ void measured_bulk_pass(hpm::bench::BenchReport& report, std::size_t n) {
               canonical_s / bulk_s, n);
 }
 
+/// Sarwate's byte-at-a-time CRC-32, the loop Crc32's slice-by-16 kernel
+/// replaced; kept here only as the yardstick for the speedup row.
+std::uint32_t bytewise_crc32(const std::uint8_t* p, std::size_t len) {
+  static const std::array<std::uint32_t, 256> table = [] {
+    std::array<std::uint32_t, 256> t{};
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      std::uint32_t c = i;
+      for (int k = 0; k < 8; ++k) c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : (c >> 1);
+      t[i] = c;
+    }
+    return t;
+  }();
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < len; ++i) c = table[(c ^ p[i]) & 0xFFu] ^ (c >> 8);
+  return c ^ 0xFFFFFFFFu;
+}
+
+/// The integrity kernel every frame trailer, stream trailer, journal
+/// record and digest runs: 8 MB (a linpack 1000x1000 stream) through
+/// Crc32 and through the byte-wise reference, best-of-5 each, interleaved
+/// so host noise hits both. The speedup is a ratio, so perf_guard can
+/// gate it where absolute seconds would be noise. The end-to-end
+/// StreamDigest (byte-serial FNV-1a plus the CRC) is timed alongside.
+bool measured_crc_pass(hpm::bench::BenchReport& report) {
+  using Clock = std::chrono::steady_clock;
+  constexpr std::size_t kBytes = std::size_t{8} << 20;
+  std::vector<std::uint8_t> data(kBytes);
+  std::uint32_t x = 0x12345678u;
+  for (std::uint8_t& b : data) {
+    x = x * 1664525u + 1013904223u;
+    b = static_cast<std::uint8_t>(x >> 24);
+  }
+  double kernel_s = 1e9;
+  double bytewise_s = 1e9;
+  double digest_s = 1e9;
+  std::uint32_t kernel_crc = 0;
+  std::uint32_t bytewise_crc = 0;
+  for (int rep = 0; rep < 5; ++rep) {
+    auto t0 = Clock::now();
+    kernel_crc = hpm::Crc32::of(data.data(), data.size());
+    benchmark::DoNotOptimize(kernel_crc);
+    kernel_s = std::min(kernel_s, std::chrono::duration<double>(Clock::now() - t0).count());
+    t0 = Clock::now();
+    bytewise_crc = bytewise_crc32(data.data(), data.size());
+    benchmark::DoNotOptimize(bytewise_crc);
+    bytewise_s =
+        std::min(bytewise_s, std::chrono::duration<double>(Clock::now() - t0).count());
+    t0 = Clock::now();
+    benchmark::DoNotOptimize(hpm::msrm::StreamDigest::of(data));
+    digest_s = std::min(digest_s, std::chrono::duration<double>(Clock::now() - t0).count());
+  }
+  if (kernel_crc != bytewise_crc) {
+    std::fprintf(stderr, "crc32 kernel disagrees with the byte-wise reference: %08x != %08x\n",
+                 kernel_crc, bytewise_crc);
+    return false;
+  }
+  report.add("integrity.crc32.bytes_per_second", static_cast<double>(kBytes) / kernel_s,
+             "bytes/second");
+  report.add("integrity.crc32.speedup_vs_bytewise", bytewise_s / kernel_s, "ratio");
+  report.add("integrity.stream_digest.bytes_per_second", static_cast<double>(kBytes) / digest_s,
+             "bytes/second");
+  std::printf("crc32: %.2f ms per 8 MB, %.2fx over byte-wise (%.2f ms); stream digest %.2f ms\n",
+              kernel_s * 1e3, bytewise_s / kernel_s, bytewise_s * 1e3, digest_s * 1e3);
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -174,6 +245,7 @@ int main(int argc, char** argv) {
   // throughput rows plus the xdr.encode/decode stream counters.
   measured_pass(report, args.smoke ? (1u << 12) : (1u << 20));
   measured_bulk_pass(report, args.smoke ? (1u << 14) : (1u << 20));
+  if (!measured_crc_pass(report)) return 1;
   report.add_percentiles("xdr.encode.stream_bytes");
   return report.write(args.json_path) ? 0 : 1;
 }

@@ -61,8 +61,9 @@ int main(int argc, char** argv) {
                     report.metrics.counter("mig.pipeline.chunks")),
                 report.overlap_ratio);
   }
-  std::printf("  solution      : residual=%.3e normalized=%.3f -> %s\n", result.residual,
-              result.normalized, result.ok() ? "PASS" : "FAIL");
+  std::printf("  solution      : residual=%.3e normalized=%.3f scaled=%.3f -> %s\n",
+              result.residual, result.normalized, result.scaled_residual,
+              result.ok() ? "PASS" : "FAIL");
   if (trace_path != nullptr) {
     if (hpm::obs::Tracer::process().write_chrome_trace(trace_path)) {
       std::printf("  trace         : %zu spans -> %s (open in chrome://tracing)\n",

@@ -23,10 +23,21 @@ struct LinpackResult {
   bool done = false;
   int n = 0;
   double residual = 0;        ///< max |Ax - b| over the solution
-  double normalized = 0;      ///< residual / (n * norm(A) * eps)
+  double normalized = 0;      ///< residual / (n * norm(A) * eps), netlib's report
+  /// HPL's scaled residual ||Ax-b|| / (eps * (||A|| * ||x|| + ||b||) * n),
+  /// infinity norms: O(1) for any backward-stable solve.
+  double scaled_residual = 0;
   double mflops_proxy = 0;    ///< operations / solve-seconds (rough)
-  [[nodiscard]] bool ok() const noexcept { return done && normalized < 10.0; }
+  /// HPL's acceptance test. (netlib's `normalized` carries no such bound:
+  /// the paper's 1000x1000 instance solves correctly at about 11.)
+  [[nodiscard]] bool ok() const noexcept { return done && scaled_residual < 16.0; }
 };
+
+/// Fill the residual fields of *out (`residual`, `normalized`,
+/// `scaled_residual`) for the solution `x` of the n x n system A x = b,
+/// `a` column-major with leading dimension n. Leaves `done` alone.
+void linpack_check(int n, const double* a, const double* b, const double* x,
+                   LinpackResult* out);
 
 /// No extra types needed beyond primitives; provided for symmetry with
 /// the other workloads.

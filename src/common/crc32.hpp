@@ -11,9 +11,14 @@ namespace hpm {
 /// The migration stream trailer stores `Crc32::finish(update(...))` over all
 /// preceding bytes so a truncated or corrupted transfer is detected before
 /// any block is materialized on the destination.
+///
+/// The kernel is portable slice-by-16: sixteen bytes per step through
+/// sixteen 256-entry tables, then a byte-wise tail. Its values are those
+/// of the classic byte-at-a-time loop (check value 0xCBF43926 for
+/// "123456789") on any host byte order.
 class Crc32 {
  public:
-  /// Feed `len` bytes; returns the running (pre-finalization) state.
+  /// Feed `len` bytes into the running (pre-finalization) state.
   void update(const void* data, std::size_t len) noexcept;
 
   /// Finalized CRC value of everything fed so far.

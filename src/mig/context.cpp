@@ -162,6 +162,23 @@ void MigContext::set_collect_sink(std::size_t chunk_bytes, xdr::Encoder::SinkFn 
   collect_sink_ = std::move(sink);
 }
 
+Bytes MigContext::take_stream() noexcept {
+  stream_taken_ = true;
+  return std::move(stream_);
+}
+
+std::uint64_t MigContext::stream_digest() {
+  if (!collect_digest_) {
+    if (stream_taken_) {
+      throw MigrationError("stream_digest() after take_stream(): read the digest "
+                           "before moving the stream out");
+    }
+    if (stream_.empty()) return 0;  // nothing collected yet
+    collect_digest_ = msrm::StreamDigest::of({stream_.data(), stream_.size()});
+  }
+  return *collect_digest_;
+}
+
 void MigContext::do_migration(std::uint32_t label) {
   obs::Span span("mig.collect");
   const obs::MetricsSnapshot before = obs::Registry::process().snapshot();
@@ -171,8 +188,8 @@ void MigContext::do_migration(std::uint32_t label) {
   xdr::Encoder enc(space_.msrlt().tracked_bytes() +
                    space_.msrlt().block_count() * 32 + 4096);
   // End-to-end digest tap: accumulate over exactly the bytes that leave
-  // through the sink (the canonical stream in chunk order), or one-shot
-  // over the retained stream when collection is not streamed.
+  // through the sink (the canonical stream in chunk order). Without a
+  // sink, stream_digest() computes it over the retained stream on demand.
   msrm::StreamDigest digest;
   if (collect_sink_) {
     enc.set_sink(collect_chunk_, [this, &digest](std::span<const std::uint8_t> bytes) {
@@ -203,8 +220,9 @@ void MigContext::do_migration(std::uint32_t label) {
   msrm::finish_stream(enc);
   enc.flush_sink();  // sub-chunk remainder (incl. the trailer) goes out too
   stream_ = enc.take();
-  if (!collect_sink_) digest.update({stream_.data(), stream_.size()});
-  collect_digest_ = digest.value();
+  stream_taken_ = false;
+  collect_digest_.reset();
+  if (collect_sink_) collect_digest_ = digest.value();
   span.arg("stream_bytes", std::uint64_t{stream_.size()});
   metrics_.collect_seconds = span.finish();
   metrics_.stream_bytes = stream_.size();

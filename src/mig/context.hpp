@@ -162,11 +162,19 @@ class MigContext {
   /// Stream produced by the last collection (valid after MigrationExit).
   [[nodiscard]] const Bytes& stream() const noexcept { return stream_; }
 
-  /// End-to-end digest (msrm::StreamDigest) of the last collected stream,
-  /// accumulated chunk-by-chunk as collection streams through the sink.
-  /// Carried in StateEnd and re-verified on the destination before it may
-  /// vote in the commit phase.
-  [[nodiscard]] std::uint64_t stream_digest() const noexcept { return collect_digest_; }
+  /// Move the collected stream out instead of copying it (the source
+  /// context is discarded once the state has left). Read stream_digest()
+  /// first if it is needed: afterwards it can only return a digest that
+  /// was already computed, and throws MigrationError otherwise.
+  [[nodiscard]] Bytes take_stream() noexcept;
+
+  /// End-to-end digest (msrm::StreamDigest) of the last collected stream;
+  /// 0 before any collection. Under a collect sink it is accumulated
+  /// chunk-by-chunk as collection streams out, and is carried in StateEnd
+  /// and re-verified on the destination before it may vote in the commit
+  /// phase. Without a sink (the serial path, which never sends it) it is
+  /// computed over stream() on the first call and memoized.
+  [[nodiscard]] std::uint64_t stream_digest();
 
   /// Pipelined collection: stream the encoded state through `sink` in
   /// `chunk_bytes` slices while the collection DFS is still walking the
@@ -241,7 +249,8 @@ class MigContext {
   unsigned collect_threads_ = 1;
   std::size_t collect_chunk_ = 0;
   xdr::Encoder::SinkFn collect_sink_;
-  std::uint64_t collect_digest_ = 0;
+  std::optional<std::uint64_t> collect_digest_;  ///< memoized stream_digest()
+  bool stream_taken_ = false;
   std::function<void(std::uint64_t)> commit_gate_;
 
   // Restore-side state.

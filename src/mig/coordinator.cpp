@@ -241,7 +241,9 @@ MigrationReport run_migration_impl(const RunOptions& options) {
     } catch (const MigrationExit&) {
       join_scheduler();
       collected = true;
-      stream = ctx.stream();  // buffered for replay across attempts
+      // Moved, not copied: ctx dies at the end of this block, and the
+      // serial path never reads its digest.
+      stream = ctx.take_stream();  // buffered for replay across attempts
       report.stream_bytes = stream.size();
       report.collect_seconds = ctx.metrics().collect_seconds;
       report.source_arch = ctx.space().arch().name;

@@ -38,6 +38,10 @@ Bytes BufferPool::acquire(std::size_t size) {
 
 void BufferPool::release(Bytes&& buf) {
   PoolMetrics::get().releases.add(1);
+  if (buf.capacity() > kMaxPooledCapacity) {
+    const Bytes oversized = std::move(buf);  // freed on return, outside the lock
+    return;
+  }
   std::lock_guard lk(mu_);
   if (free_.size() < kMaxRetained) free_.push_back(std::move(buf));
 }

@@ -21,14 +21,19 @@ class BufferPool {
   /// buffer's capacity when one is available.
   Bytes acquire(std::size_t size);
 
-  /// Return a buffer to the pool. Beyond the retention cap the buffer is
-  /// simply freed.
+  /// Return a buffer to the pool. Beyond the retention cap, or when its
+  /// capacity exceeds kMaxPooledCapacity, the buffer is simply freed.
   void release(Bytes&& buf);
 
   /// The process-wide pool the message layer uses.
   static BufferPool& process();
 
   static constexpr std::size_t kMaxRetained = 16;
+
+  /// Largest capacity the pool keeps: 16 default 64 KiB chunks. acquire()
+  /// hands any free buffer to any frame, so a pooled multi-megabyte State
+  /// buffer would otherwise stay resident carrying one-byte Acks.
+  static constexpr std::size_t kMaxPooledCapacity = std::size_t{1} << 20;
 
  private:
   std::mutex mu_;

@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -57,6 +58,19 @@ void wait_ready(int fd, short events, bool bounded, Clock::time_point deadline,
     if (n > 0) return;  // ready (or error/hup — the following I/O call reports it)
     // n == 0: poll timed out; loop re-checks the deadline and throws.
   }
+}
+
+/// Frames are written with one send() each and the protocol waits for
+/// small replies (Hello, Ack, PrepareAck), so Nagle's algorithm would hold
+/// a small frame until the peer's delayed ACK (~40 ms on Linux loopback).
+/// Takes ownership of `fd` first, so a failure closes it.
+std::unique_ptr<SocketChannel> make_nodelay_channel(int fd) {
+  auto channel = std::make_unique<SocketChannel>(fd);
+  const int one = 1;
+  if (::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one) < 0) {
+    fail("setsockopt(TCP_NODELAY)");
+  }
+  return channel;
 }
 
 }  // namespace
@@ -153,7 +167,7 @@ SocketListener::~SocketListener() {
 std::unique_ptr<SocketChannel> SocketListener::accept() {
   const int client = ::accept(fd_, nullptr, nullptr);
   if (client < 0) fail("accept");
-  return std::make_unique<SocketChannel>(client);
+  return make_nodelay_channel(client);
 }
 
 std::unique_ptr<SocketChannel> connect_to(std::uint16_t port) {
@@ -169,7 +183,7 @@ std::unique_ptr<SocketChannel> connect_to(std::uint16_t port) {
     errno = saved;
     fail("connect");
   }
-  return std::make_unique<SocketChannel>(fd);
+  return make_nodelay_channel(fd);
 }
 
 }  // namespace hpm::net

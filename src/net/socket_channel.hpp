@@ -29,6 +29,10 @@ class SocketChannel final : public ByteChannel {
   void set_timeout(std::chrono::milliseconds timeout) override { timeout_ = timeout; }
   void close() override;
 
+  /// The kernel socket, for option inspection (e.g. getsockopt). Owned by
+  /// the channel: never close or shut it down from outside.
+  [[nodiscard]] int native_handle() const noexcept { return fd_; }
+
  private:
   // close() may race a peer thread blocked in send/recv (abort() is the
   // documented cross-thread wake-up), so the fd is never torn down while

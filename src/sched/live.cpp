@@ -14,7 +14,13 @@ LiveCluster::LiveCluster(int nodes, RegisterTypes register_types)
 }
 
 LiveCluster::~LiveCluster() {
-  shutdown_.store(true);
+  {
+    // Stored under mu_: a worker that has just evaluated its wait
+    // predicate (false) but not yet blocked would otherwise miss the
+    // notify below and never wake to be joined.
+    std::lock_guard lk(mu_);
+    shutdown_.store(true);
+  }
   cv_.notify_all();
   for (Node& node : nodes_) {
     if (node.worker.joinable()) node.worker.join();
@@ -150,8 +156,8 @@ void LiveCluster::worker_loop(int node_index) {
       }
       if (target < 0) target = node_index;  // defensive: land back home
       job->report.migrations += 1;
-      job->report.moved_bytes += ctx.stream().size();
-      job->resume_stream = ctx.stream();
+      job->resume_stream = ctx.take_stream();
+      job->report.moved_bytes += job->resume_stream.size();
       enqueue(target, std::move(job));
     } catch (...) {
       // Application failure: record and count the job as finished so
@@ -216,7 +222,11 @@ void LiveCluster::balancer_loop(double period_seconds) {
 
 std::vector<LiveCluster::JobReport> LiveCluster::wait_all() {
   std::unique_lock lk(mu_);
-  cv_.wait(lk, [this] { return jobs_done_ == jobs_total_; });
+  if (!cv_.wait_for(lk, kWaitAllTimeout, [this] { return jobs_done_ == jobs_total_; })) {
+    throw Error("wait_all: " + std::to_string(jobs_total_ - jobs_done_) + " of " +
+                std::to_string(jobs_total_) + " jobs unfinished after " +
+                std::to_string(kWaitAllTimeout.count()) + " s");
+  }
   return reports_;
 }
 

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -59,7 +60,11 @@ class LiveCluster {
   void enable_auto_balance(double period_seconds);
 
   /// Block until every submitted job has completed; returns the reports.
+  /// Throws hpm::Error if jobs are still unfinished after kWaitAllTimeout,
+  /// so a lost wake-up surfaces as an error instead of a hang.
   std::vector<JobReport> wait_all();
+
+  static constexpr std::chrono::seconds kWaitAllTimeout{60};
 
   [[nodiscard]] int nodes() const noexcept { return static_cast<int>(nodes_.size()); }
 

@@ -2,6 +2,8 @@
 // WITHOUT migration (algorithmic baselines) and leak nothing.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "apps/bitonic.hpp"
 #include "apps/linpack.hpp"
 #include "apps/test_pointer.hpp"
@@ -32,6 +34,48 @@ TEST(LinpackApp, DifferentSeedsGiveDifferentSystemsButBothSolve) {
   EXPECT_TRUE(r1.ok());
   EXPECT_TRUE(r2.ok());
   EXPECT_NE(r1.residual, r2.residual);
+}
+
+TEST(LinpackApp, PaperInstanceWithoutMigrationPassesOk) {
+  // Table 1's 1000x1000 system. netlib's normalized residual lands near 11
+  // here; the HPL scaled residual is the bound ok() applies.
+  ti::TypeTable t;
+  linpack_register_types(t);
+  mig::MigContext ctx(t);
+  LinpackResult result;
+  linpack_program(ctx, 1000, 1, &result);
+  EXPECT_TRUE(result.ok()) << "scaled_residual=" << result.scaled_residual
+                           << " normalized=" << result.normalized;
+  EXPECT_GT(result.scaled_residual, 0.0);
+}
+
+TEST(LinpackApp, PerturbedSolutionFailsOk) {
+  // b = A * ones, so x = ones solves the system up to rounding; moving one
+  // component by 1e-9 is far outside what a stable solve leaves behind.
+  constexpr int n = 64;
+  std::vector<double> a(static_cast<std::size_t>(n) * n);
+  std::vector<double> b(n, 0.0);
+  std::uint32_t lcg = 12345;
+  for (int j = 0; j < n; ++j) {
+    for (int i = 0; i < n; ++i) {
+      lcg = lcg * 1664525u + 1013904223u;
+      const double v = static_cast<double>(lcg >> 8) / (1u << 24) * 2.0 - 1.0;
+      a[static_cast<std::size_t>(n) * j + i] = v;
+      b[i] += v;
+    }
+  }
+  std::vector<double> x(n, 1.0);
+  LinpackResult exact;
+  exact.done = true;
+  linpack_check(n, a.data(), b.data(), x.data(), &exact);
+  EXPECT_TRUE(exact.ok()) << "scaled_residual=" << exact.scaled_residual;
+
+  x[7] += 1e-9;
+  LinpackResult perturbed;
+  perturbed.done = true;
+  linpack_check(n, a.data(), b.data(), x.data(), &perturbed);
+  EXPECT_FALSE(perturbed.ok()) << "scaled_residual=" << perturbed.scaled_residual;
+  EXPECT_GT(perturbed.residual, exact.residual);
 }
 
 TEST(LinpackApp, LiveBytesFormulaMatchesReality) {

@@ -60,6 +60,19 @@ TEST(BufferPool, RetentionIsCapped) {
   EXPECT_EQ(counter_delta(before, "net.pool.reuses"), BufferPool::kMaxRetained);
 }
 
+TEST(BufferPool, OversizedBufferIsFreedNotPooled) {
+  BufferPool pool;
+  const obs::MetricsSnapshot before = obs::Registry::process().snapshot();
+  Bytes state = pool.acquire(8u << 20);  // an 8 MB State frame
+  pool.release(std::move(state));
+
+  const Bytes ack = pool.acquire(1);
+  EXPECT_EQ(ack.size(), 1u);
+  EXPECT_LE(ack.capacity(), BufferPool::kMaxPooledCapacity)
+      << "a one-byte frame must not inherit the 8 MB buffer";
+  EXPECT_EQ(counter_delta(before, "net.pool.reuses"), 0u);
+}
+
 TEST(BufferPool, ConcurrentAcquireReleaseIsRaceFree) {
   // Exercised under -fsanitize=thread by the tsan preset: every transition
   // of a buffer between threads goes through the pool's lock.

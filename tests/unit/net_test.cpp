@@ -1,5 +1,8 @@
 // Transport layer: channels, framing, and the Ethernet link model.
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
 
 #include <algorithm>
 #include <chrono>
@@ -8,6 +11,7 @@
 
 #include "common/crc32.hpp"
 #include "common/error.hpp"
+#include "net/factory.hpp"
 #include "net/faulty_channel.hpp"
 #include "net/file_channel.hpp"
 #include "net/mem_channel.hpp"
@@ -119,6 +123,21 @@ TEST(SocketChannel, CloseIsIdempotentAndIoAfterCloseThrows) {
   EXPECT_THROW(client->send(out), NetError);
   Bytes in(1);
   EXPECT_THROW(client->recv(in), NetError);
+}
+
+TEST(SocketChannel, BothEndsDisableNagle) {
+  // A small frame followed by a wait for a small reply must not sit in
+  // Nagle's buffer until the peer's delayed ACK fires.
+  const ChannelPair pair = make_channel_pair(Transport::Socket);
+  for (const ByteChannel* end : {pair.source.get(), pair.destination.get()}) {
+    const auto* socket = dynamic_cast<const SocketChannel*>(end);
+    ASSERT_NE(socket, nullptr);
+    int nodelay = 0;
+    socklen_t len = sizeof nodelay;
+    ASSERT_EQ(::getsockopt(socket->native_handle(), IPPROTO_TCP, TCP_NODELAY, &nodelay, &len),
+              0);
+    EXPECT_NE(nodelay, 0);
+  }
 }
 
 TEST(SocketChannel, ConnectToClosedPortFails) {

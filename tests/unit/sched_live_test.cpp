@@ -29,6 +29,31 @@ void spin_job(mig::MigContext& ctx, int iters, std::atomic<long>* sink) {
   HPM_BODY_END(ctx);
 }
 
+/// "Job is running" handshake: counts the contexts that have executed a
+/// poll-point, so a test orders a move only once the job is live on a
+/// node (its context registered and polling), never while it is queued.
+class RunningSignal {
+ public:
+  void arm(mig::MigContext& ctx) {
+    ctx.set_poll_observer([this, first = true](mig::MigContext&) mutable {
+      if (!first) return;
+      first = false;
+      contexts_.fetch_add(1);
+      contexts_.notify_all();
+    });
+  }
+
+  /// Block until `n` contexts have polled.
+  void wait_for(int n) {
+    for (int seen = contexts_.load(); seen < n; seen = contexts_.load()) {
+      contexts_.wait(seen);
+    }
+  }
+
+ private:
+  std::atomic<int> contexts_{0};
+};
+
 long expected_sum(int iters) {
   long acc = 0;
   for (int i = 0; i < iters; ++i) acc += i;
@@ -71,11 +96,16 @@ TEST(LiveCluster, QueuedJobMovesWithoutCollection) {
 TEST(LiveCluster, LiveJobMigratesMidLoopAndFinishesElsewhere) {
   LiveCluster cluster(2, no_types);
   std::atomic<long> sink{-1};
-  const int job =
-      cluster.submit([&sink](mig::MigContext& ctx) { spin_job(ctx, 30000000, &sink); }, 0);
+  RunningSignal running;
+  const int job = cluster.submit(
+      [&sink, &running](mig::MigContext& ctx) {
+        running.arm(ctx);
+        spin_job(ctx, 30000000, &sink);
+      },
+      0);
   cluster.start();
-  // Let it get going, then order the move.
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  // Order the move once the job is live on node 0.
+  running.wait_for(1);
   cluster.migrate(job, 1);
   const auto reports = cluster.wait_all();
   EXPECT_EQ(sink.load(), expected_sum(30000000));
@@ -88,12 +118,17 @@ TEST(LiveCluster, LiveJobMigratesMidLoopAndFinishesElsewhere) {
 TEST(LiveCluster, ChainOfOrdersHopsAcrossNodes) {
   LiveCluster cluster(3, no_types);
   std::atomic<long> sink{-1};
-  const int job =
-      cluster.submit([&sink](mig::MigContext& ctx) { spin_job(ctx, 50000000, &sink); }, 0);
+  RunningSignal running;
+  const int job = cluster.submit(
+      [&sink, &running](mig::MigContext& ctx) {
+        running.arm(ctx);
+        spin_job(ctx, 50000000, &sink);
+      },
+      0);
   cluster.start();
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  running.wait_for(1);  // live on node 0
   cluster.migrate(job, 1);
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  running.wait_for(2);  // restored and polling on node 1
   cluster.migrate(job, 2);
   const auto reports = cluster.wait_all();
   EXPECT_EQ(sink.load(), expected_sum(50000000));

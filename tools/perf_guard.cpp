@@ -22,6 +22,15 @@
 //   5. dedup.bit_identical must be exactly 1: dedup'd transfer is only
 //      legal as a byte-volume optimization, never a restore change.
 //
+// A second form gates one row of any hpm-bench-v1 report from below:
+//
+//   perf_guard --floor <BENCH.json> <row> <min>
+//
+// fails when <row> is missing or below <min>. The integrity kernel's
+// integrity.crc32.speedup_vs_bytewise (BENCH_xdr_throughput.json) is
+// gated this way: a ratio of two kernels timed in one process, not
+// absolute seconds.
+//
 // Exit 0 when every gate holds, 1 with a diagnostic otherwise.
 #include <cstdio>
 #include <cstdlib>
@@ -53,9 +62,60 @@ const Value* find_row(const Value& results, const std::string& name) {
   return nullptr;
 }
 
+/// Parse `path` as an hpm-bench-v1 report (kept alive in `root`) and
+/// return its "results" array, or nullptr after printing a diagnostic.
+const Value* load_results(const std::string& path, ValuePtr& root) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) {
+    complain(path, "cannot open file");
+    return nullptr;
+  }
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  try {
+    root = Parser(buf.str()).parse();
+  } catch (const std::exception& e) {
+    complain(path, e.what());
+    return nullptr;
+  }
+  if (root->kind != Value::Kind::Object) {
+    complain(path, "top level is not an object");
+    return nullptr;
+  }
+  const Value* results = root->get("results");
+  if (!results || results->kind != Value::Kind::Array) {
+    complain(path, "\"results\" must be an array");
+    return nullptr;
+  }
+  return results;
+}
+
+int floor_gate(const std::string& path, const std::string& row, double floor) {
+  ValuePtr root;
+  const Value* results = load_results(path, root);
+  if (results == nullptr) return 1;
+  const Value* value = find_row(*results, row);
+  if (!value || value->kind != Value::Kind::Number) return complain(path, "missing row " + row);
+  if (!(value->number >= floor)) {
+    std::ostringstream os;
+    os << row << " = " << value->number << " is below the floor " << floor;
+    return complain(path, os.str());
+  }
+  std::printf("perf_guard: %s: OK (%s = %.2f >= %.2f)\n", path.c_str(), row.c_str(),
+              value->number, floor);
+  return 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
+  if (argc >= 2 && std::string(argv[1]) == "--floor") {
+    if (argc != 5) {
+      std::fprintf(stderr, "usage: perf_guard --floor <BENCH.json> <row> <min>\n");
+      return 2;
+    }
+    return floor_gate(argv[2], argv[3], std::strtod(argv[4], nullptr));
+  }
   if (argc < 2 || argc > 4) {
     std::fprintf(stderr,
                  "usage: perf_guard <BENCH_migration.json> [steps_ceiling] [dedup_ceiling]\n");
@@ -69,21 +129,9 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return complain(path, "cannot open file");
-  std::ostringstream buf;
-  buf << in.rdbuf();
   ValuePtr root;
-  try {
-    root = Parser(buf.str()).parse();
-  } catch (const std::exception& e) {
-    return complain(path, e.what());
-  }
-  if (root->kind != Value::Kind::Object) return complain(path, "top level is not an object");
-  const Value* results = root->get("results");
-  if (!results || results->kind != Value::Kind::Array) {
-    return complain(path, "\"results\" must be an array");
-  }
+  const Value* results = load_results(path, root);
+  if (results == nullptr) return 1;
 
   const Value* steps = find_row(*results, "msrlt.search_steps_per_search");
   if (!steps || steps->kind != Value::Kind::Number) {
