@@ -29,14 +29,15 @@ struct Measurement {
 /// Collect at poll `at_poll` on a fresh source context, then restore on a
 /// fresh destination context (stopping right after restoration). Both
 /// contexts register types independently, like two pre-distributed
-/// binaries.
-inline Measurement measure_migration(const std::function<void(ti::TypeTable&)>& register_types,
-                                     const std::function<void(mig::MigContext&)>& program,
-                                     std::uint64_t at_poll = 1) {
+/// binaries, and index their MSRLTs with `search`.
+inline Measurement measure_migration(
+    const std::function<void(ti::TypeTable&)>& register_types,
+    const std::function<void(mig::MigContext&)>& program, std::uint64_t at_poll = 1,
+    msr::SearchStrategy search = msr::SearchStrategy::FlatArray) {
   Measurement m;
   ti::TypeTable src_types;
   register_types(src_types);
-  mig::MigContext src(src_types);
+  mig::MigContext src(src_types, search);
   src.set_migrate_at_poll(at_poll);
   bool migrated = false;
   try {
@@ -57,7 +58,7 @@ inline Measurement measure_migration(const std::function<void(ti::TypeTable&)>& 
 
   ti::TypeTable dst_types;
   register_types(dst_types);
-  mig::MigContext dst(dst_types);
+  mig::MigContext dst(dst_types, search);
   dst.begin_restore(src.stream());
   dst.set_stop_after_restore(true);
   try {

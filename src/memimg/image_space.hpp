@@ -20,7 +20,7 @@ namespace hpm::memimg {
 class ImageSpace final : public msr::MemorySpace {
  public:
   ImageSpace(const ti::TypeTable& types, const xdr::ArchDescriptor& arch,
-             msr::SearchStrategy strategy = msr::SearchStrategy::OrderedMap)
+             msr::SearchStrategy strategy = msr::SearchStrategy::FlatArray)
       : types_(&types),
         arch_(&arch),
         layouts_(types, arch),

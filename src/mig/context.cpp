@@ -23,7 +23,6 @@ void aligned_free(void* p) { ::operator delete(p, std::align_val_t{16}); }
 }  // namespace
 
 MigContext::~MigContext() {
-  for (void* p : heap_owned_) aligned_free(p);
   for (const LocalVar& g : globals_) aligned_free(reinterpret_cast<void*>(g.addr));
 }
 
@@ -52,22 +51,23 @@ void* MigContext::make_global(const char* name, ti::TypeId type, std::uint32_t c
 
 void* MigContext::heap_alloc_raw(ti::TypeId type, std::uint32_t count, const char* name) {
   const std::uint64_t size = space_.block_size(type, count);
-  void* storage = aligned_zeroed(size);
-  space_.msrlt().register_block(msr::Segment::Heap,
-                                reinterpret_cast<msr::Address>(storage), size, type, count,
-                                name);
-  heap_owned_.insert(storage);
+  void* storage = space_.allocate_zeroed(size);
+  try {
+    space_.msrlt().register_block(msr::Segment::Heap, reinterpret_cast<msr::Address>(storage),
+                                  size, type, count, name);
+  } catch (...) {
+    space_.free_owned(storage);
+    throw;
+  }
   return storage;
 }
 
 void MigContext::heap_free(void* p) {
-  const auto it = heap_owned_.find(p);
-  if (it == heap_owned_.end()) {
+  if (!space_.owns(p)) {
     throw MigrationError("heap_free: pointer was not allocated by this context");
   }
   space_.msrlt().unregister(reinterpret_cast<msr::Address>(p));
-  heap_owned_.erase(it);
-  aligned_free(p);
+  space_.free_owned(p);
 }
 
 void MigContext::enter_frame(Frame& frame) {
@@ -369,11 +369,9 @@ void MigContext::finish_restore(Frame& frame, std::uint32_t label) {
                          " undecoded bytes after restoration");
   }
 
-  // Adopt restored heap blocks into the migratable heap so the program
-  // can free them normally. Every allocation the space made during this
-  // restoration is a heap block (stack/global records bind to existing
-  // storage), so a bulk ownership transfer is exact — and O(1).
-  heap_owned_.merge(space_.take_all_owned());
+  // Restored heap blocks need no adoption: the space allocated them, and
+  // the space's ownership set is the migratable heap's (heap_free frees
+  // them like any heap_alloc'd block).
 
   restore_span_->arg("stream_bytes", std::uint64_t{restore_stream_.size()});
   metrics_.restore_seconds = restore_span_->finish();

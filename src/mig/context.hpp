@@ -18,7 +18,6 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <unordered_set>
 
 #include "common/error.hpp"
 #include "mig/frame.hpp"
@@ -70,7 +69,7 @@ struct MigrationMetrics {
 class MigContext {
  public:
   explicit MigContext(ti::TypeTable& types,
-                      msr::SearchStrategy strategy = msr::SearchStrategy::OrderedMap)
+                      msr::SearchStrategy strategy = msr::SearchStrategy::FlatArray)
       : types_(&types), space_(types, strategy) {}
 
   ~MigContext();
@@ -219,7 +218,12 @@ class MigContext {
   ti::TypeTable& types() noexcept { return *types_; }
   [[nodiscard]] const MigrationMetrics& metrics() const noexcept { return metrics_; }
   [[nodiscard]] std::size_t frame_depth() const noexcept { return frames_.size(); }
-  [[nodiscard]] std::size_t live_heap_blocks() const noexcept { return heap_owned_.size(); }
+  /// Heap blocks currently owned: allocated by heap_alloc or restored,
+  /// and not yet freed. Reads the space's ownership set (stack and global
+  /// blocks are never allocated through it).
+  [[nodiscard]] std::size_t live_heap_blocks() const noexcept {
+    return space_.owned_allocations();
+  }
 
  private:
   void* make_global(const char* name, ti::TypeId type, std::uint32_t count);
@@ -236,7 +240,6 @@ class MigContext {
 
   std::vector<Frame*> frames_;
   std::vector<LocalVar> globals_;
-  std::unordered_set<void*> heap_owned_;
 
   std::atomic<bool> requested_{false};
   std::uint64_t migrate_at_poll_ = 0;

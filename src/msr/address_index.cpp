@@ -1,7 +1,9 @@
 #include "msr/address_index.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <map>
+#include <new>
 #include <string>
 
 #include "common/error.hpp"
@@ -101,29 +103,65 @@ class MapIndex final : public AddressIndex {
   std::map<Address, MemoryBlock> by_addr_;
 };
 
-/// Flat sorted interval array with a branchless binary search.
+/// Slot arena for MemoryBlock records: fixed pages plus an intrusive free
+/// list. Records never move, so a MemoryBlock* stays valid until the
+/// record is destroyed; a destroyed cell is reused by the next make().
+class BlockArena {
+ public:
+  BlockArena() = default;
+  BlockArena(const BlockArena&) = delete;
+  BlockArena& operator=(const BlockArena&) = delete;
+
+  MemoryBlock* make(MemoryBlock&& block) {
+    Cell* cell = free_;
+    if (cell != nullptr) {
+      free_ = cell->next;
+    } else {
+      if (used_ == kPageCells) {
+        pages_.push_back(std::make_unique<Cell[]>(kPageCells));
+        used_ = 0;
+      }
+      cell = &pages_.back()[used_++];
+    }
+    return new (&cell->block) MemoryBlock(std::move(block));
+  }
+
+  void destroy(MemoryBlock* block) noexcept {
+    block->~MemoryBlock();
+    Cell* cell = reinterpret_cast<Cell*>(block);  // the union's first member
+    cell->next = free_;
+    free_ = cell;
+  }
+
+ private:
+  union Cell {
+    Cell() {}
+    ~Cell() {}
+    MemoryBlock block;
+    Cell* next;
+  };
+  // 512 records (40 KiB) per page: small enough that a handful of blocks
+  // costs little, large enough that 262k blocks are ~500 allocations.
+  static constexpr std::size_t kPageCells = 512;
+
+  std::vector<std::unique_ptr<Cell[]>> pages_;
+  std::size_t used_ = kPageCells;  // cells handed out from the last page
+  Cell* free_ = nullptr;
+};
+
+/// Chunked sorted interval array (see address_index.hpp).
 ///
-/// Mutation model: inserts append to a small unsorted `pending_` run;
-/// erases of merged entries tombstone in place (entry.block = nullptr)
-/// after deleting the block. Searches linear-scan the pending run (kept
-/// small) and binary-search the merged array; `settle()` sorts and folds
-/// the pending run in — and drops tombstones — whenever it outgrows an
-/// adaptive threshold, so bulk registration phases (restore) pay O(1)
-/// amortized per insert and search phases (collect) see one contiguous
-/// sorted array.
-///
-/// Tombstone correctness: entries of `main_` were all live simultaneously
-/// at the last settle, hence pairwise disjoint. If the binary search's
-/// candidate (last base <= addr) is a tombstone, every earlier entry ends
-/// at or before the tombstone's base <= addr, so no earlier entry can
-/// contain addr either — a dead candidate means "not in main_".
+/// Invariants: chunks_ is ordered by base and every chunk is non-empty;
+/// firsts_[c] == chunks_[c]->e[0].base; entries are sorted by base across
+/// the whole sequence and pairwise disjoint.
 class FlatIndex final : public AddressIndex {
  public:
   FlatIndex() = default;
 
   ~FlatIndex() override {
-    for (const Slot& s : main_) delete s.block;
-    for (const Slot& s : pending_) delete s.block;
+    for (const auto& chunk : chunks_) {
+      for (std::uint32_t i = 0; i < chunk->n; ++i) chunk->e[i].block->~MemoryBlock();
+    }
   }
 
   FlatIndex(const FlatIndex&) = delete;
@@ -131,173 +169,223 @@ class FlatIndex final : public AddressIndex {
 
   MemoryBlock* insert(MemoryBlock block) override {
     check_size(block);
-    check_overlap(block);
-    MemoryBlock* stored = new MemoryBlock(std::move(block));
-    pending_.push_back({stored->base, stored->size, stored});
-    ++live_;
-    if (pending_.size() > pending_limit()) settle();
+    ++work_.inserts;
+    if (chunks_.empty()) {
+      MemoryBlock* stored = arena_.make(std::move(block));
+      insert_chunk(0)->e[0] = {stored->base, stored->size, stored};
+      chunks_[0]->n = 1;
+      firsts_[0] = stored->base;
+      ++size_;
+      return stored;
+    }
+    // Registration in ascending address order (restoration, a growing
+    // heap) appends past the last entry: no search needed.
+    std::size_t c = chunks_.size() - 1;
+    Chunk* ch = chunks_[c].get();
+    std::uint32_t pos = ch->n;
+    ++work_.scanned;
+    if (block.base <= ch->e[pos - 1].base) {
+      c = chunk_for(block.base);
+      ch = chunks_[c].get();
+      pos = upper_in(*ch, block.base);
+    }
+    // Immediate neighbours, across chunk boundaries.
+    const Entry* prev = pos > 0 ? &ch->e[pos - 1]
+                        : c > 0 ? &chunks_[c - 1]->e[chunks_[c - 1]->n - 1]
+                                : nullptr;
+    const Entry* next = pos < ch->n ? &ch->e[pos]
+                        : c + 1 < chunks_.size() ? &chunks_[c + 1]->e[0]
+                                                 : nullptr;
+    work_.scanned += 2;
+    if (prev != nullptr && prev->base + prev->size > block.base) throw_overlap(block, *prev->block);
+    if (next != nullptr && next->base < block.base + block.size) throw_overlap(block, *next->block);
+
+    MemoryBlock* stored = arena_.make(std::move(block));
+    const Entry entry{stored->base, stored->size, stored};
+    std::size_t at_chunk = c;
+    std::uint32_t at = pos;
+    if (ch->n == kChunkEntries) {
+      // Split at the insertion point when it is near either end, so
+      // ascending, descending and "below a stack run" registration fill
+      // chunks completely; split in half otherwise.
+      const std::uint32_t n = ch->n;
+      const std::uint32_t quarter = n / 4;
+      const std::uint32_t cut = (pos <= quarter || pos >= n - quarter) ? pos : n / 2;
+      Chunk* right = insert_chunk(c + 1);
+      ch = chunks_[c].get();
+      right->n = n - cut;
+      std::memcpy(right->e, ch->e + cut, sizeof(Entry) * right->n);
+      ch->n = cut;
+      work_.moved += right->n;
+      if (right->n > 0) firsts_[c + 1] = right->e[0].base;
+      if (pos > cut || (pos == cut && cut == n)) {
+        at_chunk = c + 1;
+        at = pos - cut;
+      }
+    }
+    Chunk* dst = chunks_[at_chunk].get();
+    std::memmove(dst->e + at + 1, dst->e + at, sizeof(Entry) * (dst->n - at));
+    work_.moved += dst->n - at;
+    dst->e[at] = entry;
+    ++dst->n;
+    if (at == 0) firsts_[at_chunk] = entry.base;
+    ++size_;
     return stored;
   }
 
   void erase(Address base) override {
-    for (std::size_t i = 0; i < pending_.size(); ++i) {
-      if (pending_[i].base == base && pending_[i].block != nullptr) {
-        delete pending_[i].block;
-        pending_[i] = pending_.back();
-        pending_.pop_back();
-        --live_;
-        return;
-      }
+    std::size_t c = 0;
+    Entry* e = locate_base(base, &c);
+    if (e == nullptr) throw MsrError("unregister: no block based at " + std::to_string(base));
+    Chunk* ch = chunks_[c].get();
+    const auto pos = static_cast<std::uint32_t>(e - ch->e);
+    arena_.destroy(e->block);
+    std::memmove(ch->e + pos, ch->e + pos + 1, sizeof(Entry) * (ch->n - pos - 1));
+    work_.moved += ch->n - pos - 1;
+    --ch->n;
+    --size_;
+    if (ch->n == 0) {
+      drop_chunk(c);
+    } else if (pos == 0) {
+      firsts_[c] = ch->e[0].base;
     }
-    Slot* slot = lower_slot(base);
-    if (slot != nullptr && slot->base == base && slot->block != nullptr) {
-      delete slot->block;
-      slot->block = nullptr;  // tombstone
-      ++dead_;
-      --live_;
-      if (dead_ > 64 && dead_ * 4 > main_.size()) settle();
-      return;
-    }
-    throw MsrError("unregister: no block based at " + std::to_string(base));
   }
 
   MemoryBlock* find_base(Address base) noexcept override {
-    for (const Slot& s : pending_) {
-      if (s.base == base) return s.block;
-    }
-    Slot* slot = lower_slot(base);
-    if (slot != nullptr && slot->base == base) return slot->block;
-    return nullptr;
+    Entry* e = locate_base(base);
+    return e == nullptr ? nullptr : e->block;
   }
 
   const MemoryBlock* find_containing(Address addr, std::uint64_t& steps) const noexcept override {
-    // A search-heavy phase should not keep paying the pending scan: fold
-    // a grown run in first (collection never inserts, so this settles at
-    // most once per registration burst).
-    if (pending_.size() > 16) settle();
-    for (const Slot& s : pending_) {
-      ++steps;
-      if (addr - s.base < s.size) return s.block;
-    }
-    const Slot* slot = lower_slot(addr, &steps);
     ++steps;  // the candidate's containment check
-    if (slot == nullptr || slot->block == nullptr) return nullptr;
-    return addr - slot->base < slot->size ? slot->block : nullptr;
+    if (chunks_.empty() || addr < firsts_[0]) return nullptr;
+    const std::size_t c = last_chunk_at_or_below(addr, &steps);
+    const Chunk& ch = *chunks_[c];
+    // Chunk c's first base <= addr, so the candidate exists in it.
+    const Entry* lo = ch.e;
+    std::size_t len = ch.n;
+    while (len > 1) {
+      const std::size_t half = len >> 1;
+      lo += (lo[half - 1].base <= addr) ? half : 0;
+      len -= half;
+      ++steps;
+    }
+    if (lo->base > addr) --lo;
+    return addr - lo->base < lo->size ? lo->block : nullptr;
   }
 
-  [[nodiscard]] std::size_t size() const noexcept override { return live_; }
+  [[nodiscard]] std::size_t size() const noexcept override { return size_; }
 
   void for_each(const std::function<void(const MemoryBlock&)>& fn) const override {
-    settle();
-    for (const Slot& s : main_) {
-      if (s.block != nullptr) fn(*s.block);
+    for (const auto& chunk : chunks_) {
+      for (std::uint32_t i = 0; i < chunk->n; ++i) fn(*chunk->e[i].block);
     }
   }
 
   FrozenIndex freeze() const override {
-    settle();
-    std::vector<FrozenIndex::Entry> entries;
-    entries.reserve(live_);
-    for (const Slot& s : main_) {
-      if (s.block != nullptr) entries.push_back({s.base, s.size, s.block});
+    std::vector<FrozenIndex::Entry> entries(size_);
+    std::size_t k = 0;
+    for (const auto& chunk : chunks_) {
+      for (std::uint32_t i = 0; i < chunk->n; ++i) {
+        entries[k++] = {chunk->e[i].base, chunk->e[i].size, chunk->e[i].block};
+      }
     }
     return FrozenIndex(std::move(entries));
   }
 
+  [[nodiscard]] Work work() const noexcept override { return work_; }
+
  private:
-  struct Slot {
-    Address base = 0;
-    std::uint64_t size = 0;
-    MemoryBlock* block = nullptr;  // nullptr = tombstone (main_ only)
+  struct Entry {
+    Address base;
+    std::uint64_t size;
+    MemoryBlock* block;
+  };
+  struct Chunk {
+    std::uint32_t n = 0;
+    Entry e[kChunkEntries];
   };
 
-  /// Pending run cap: constant for the interleaved case, proportional for
-  /// bulk registration so settles stay geometric (O(log n) amortized per
-  /// insert instead of O(n) per fixed-size batch).
-  [[nodiscard]] std::size_t pending_limit() const noexcept {
-    return 64 + main_.size() / 8;
-  }
-
-  /// Last main_ slot (live or dead) with slot.base <= key; nullptr if none.
-  /// The loop body compiles to a conditional move — no branch mispredicts
-  /// on random probe sequences.
-  Slot* lower_slot(Address key, std::uint64_t* steps = nullptr) const noexcept {
-    const std::size_t n = main_.size();
-    if (n == 0) return nullptr;
-    const Slot* lo = main_.data();
-    std::size_t len = n;
+  /// Index of the last chunk whose first base <= key (0 if none): the
+  /// chunk an entry at `key` belongs in. Branchless binary search over
+  /// firsts_; adds its probe count to `steps` when given one.
+  std::size_t last_chunk_at_or_below(Address key, std::uint64_t* steps = nullptr) const noexcept {
+    const Address* lo = firsts_.data();
+    std::size_t len = firsts_.size();
     std::uint64_t s = 0;
     while (len > 1) {
       const std::size_t half = len >> 1;
-      lo += (lo[half - 1].base <= key) ? half : 0;
+      lo += (lo[half - 1] <= key) ? half : 0;
       len -= half;
       ++s;
     }
     if (steps != nullptr) *steps += s;
-    // `lo` converged on the first slot with base > key (or the last slot
-    // when every base <= key); step back over the boundary.
-    if (lo->base <= key) {
-      // last slot — or the candidate itself.
-    } else if (lo == main_.data()) {
-      return nullptr;
-    } else {
-      --lo;
-    }
-    return const_cast<Slot*>(lo);
+    if (*lo > key && lo != firsts_.data()) --lo;
+    return static_cast<std::size_t>(lo - firsts_.data());
   }
 
-  void check_overlap(const MemoryBlock& block) const {
-    for (const Slot& s : pending_) {
-      if (block.base < s.base + s.size && s.base < block.base + block.size) {
-        throw_overlap(block, *s.block);
+  /// Chunk for an insert at `key`, counting the probes as scanned work.
+  std::size_t chunk_for(Address key) {
+    std::uint64_t s = 0;
+    const std::size_t c = last_chunk_at_or_below(key, &s);
+    work_.scanned += s;
+    return c;
+  }
+
+  /// Position of the first entry of `ch` with base > key.
+  std::uint32_t upper_in(const Chunk& ch, Address key) {
+    std::uint32_t lo = 0;
+    std::uint32_t len = ch.n;
+    while (len > 0) {
+      const std::uint32_t half = len >> 1;
+      ++work_.scanned;
+      if (ch.e[lo + half].base <= key) {
+        lo += half + 1;
+        len -= half + 1;
+      } else {
+        len = half;
       }
     }
-    if (main_.empty()) return;
-    // Nearest live neighbours in the merged array (tombstones are
-    // range-irrelevant: anything erased cannot overlap anything live).
-    const Slot* cand = lower_slot(block.base);
-    const Slot* begin = main_.data();
-    const Slot* end = begin + main_.size();
-    if (cand != nullptr) {
-      for (const Slot* p = cand; p >= begin; --p) {
-        if (p->block == nullptr) continue;
-        if (p->base + p->size > block.base) throw_overlap(block, *p->block);
-        break;
-      }
-    }
-    for (const Slot* p = (cand == nullptr ? begin : cand + 1); p < end; ++p) {
-      if (p->block == nullptr) continue;
-      if (p->base < block.base + block.size) throw_overlap(block, *p->block);
-      break;
-    }
+    return lo;
   }
 
-  /// Fold the pending run into the sorted array and drop tombstones.
-  void settle() const {
-    if (pending_.empty() && dead_ == 0) return;
-    std::sort(pending_.begin(), pending_.end(),
-              [](const Slot& a, const Slot& b) { return a.base < b.base; });
-    std::vector<Slot> merged;
-    merged.reserve(live_);
-    std::size_t i = 0;
-    std::size_t j = 0;
-    while (i < main_.size() || j < pending_.size()) {
-      const bool take_main =
-          j >= pending_.size() || (i < main_.size() && main_[i].base < pending_[j].base);
-      const Slot& s = take_main ? main_[i++] : pending_[j++];
-      if (s.block != nullptr) merged.push_back(s);
-    }
-    main_ = std::move(merged);
-    pending_.clear();
-    dead_ = 0;
+  /// Entry based exactly at `base` (its chunk index into `chunk`), or
+  /// nullptr.
+  Entry* locate_base(Address base, std::size_t* chunk = nullptr) const noexcept {
+    if (chunks_.empty()) return nullptr;
+    const std::size_t c = last_chunk_at_or_below(base);
+    if (chunk != nullptr) *chunk = c;
+    Chunk& ch = *chunks_[c];
+    Entry* it = std::lower_bound(ch.e, ch.e + ch.n, base,
+                                 [](const Entry& e, Address key) { return e.base < key; });
+    return it != ch.e + ch.n && it->base == base ? it : nullptr;
   }
 
-  // The settle is a representation change, not an observable mutation;
-  // const searches and freezes trigger it, hence the mutable storage.
-  mutable std::vector<Slot> main_;     // sorted by base; may hold tombstones
-  mutable std::vector<Slot> pending_;  // unsorted recent inserts, all live
-  mutable std::size_t dead_ = 0;       // tombstones in main_
-  std::size_t live_ = 0;
+  /// New empty chunk at position `c` (reusing the spare when there is one).
+  Chunk* insert_chunk(std::size_t c) {
+    std::unique_ptr<Chunk> chunk = spare_ ? std::move(spare_) : std::make_unique<Chunk>();
+    chunk->n = 0;
+    work_.moved += chunks_.size() - c;
+    chunks_.insert(chunks_.begin() + static_cast<std::ptrdiff_t>(c), std::move(chunk));
+    firsts_.insert(firsts_.begin() + static_cast<std::ptrdiff_t>(c), Address{0});
+    return chunks_[c].get();
+  }
+
+  /// Remove the (empty) chunk at `c`; one freed chunk is kept as a spare
+  /// so LIFO churn across a chunk boundary does not allocate.
+  void drop_chunk(std::size_t c) {
+    work_.moved += chunks_.size() - c - 1;
+    spare_ = std::move(chunks_[c]);
+    chunks_.erase(chunks_.begin() + static_cast<std::ptrdiff_t>(c));
+    firsts_.erase(firsts_.begin() + static_cast<std::ptrdiff_t>(c));
+  }
+
+  std::vector<Address> firsts_;
+  std::vector<std::unique_ptr<Chunk>> chunks_;
+  std::unique_ptr<Chunk> spare_;
+  BlockArena arena_;
+  std::size_t size_ = 0;
+  Work work_;
 };
 
 }  // namespace
@@ -313,9 +401,7 @@ const char* search_strategy_name(SearchStrategy s) noexcept {
 
 FrozenIndex::FrozenIndex(std::vector<Entry> entries) : entries_(std::move(entries)) {
   slots_.reserve(entries_.size());
-  for (std::uint32_t i = 0; i < entries_.size(); ++i) {
-    slots_.emplace(entries_[i].block->id, i);
-  }
+  for (std::uint32_t i = 0; i < entries_.size(); ++i) slots_.insert(entries_[i].block->id, i);
 }
 
 const MemoryBlock* FrozenIndex::find_containing(Address addr, std::uint64_t& steps) const noexcept {
@@ -339,13 +425,13 @@ const MemoryBlock* FrozenIndex::find_containing(Address addr, std::uint64_t& ste
 }
 
 const MemoryBlock* FrozenIndex::find_id(BlockId id) const noexcept {
-  const auto it = slots_.find(id);
-  return it == slots_.end() ? nullptr : entries_[it->second].block;
+  const std::uint32_t* slot = slots_.find(id);
+  return slot == nullptr ? nullptr : entries_[*slot].block;
 }
 
 std::uint32_t FrozenIndex::slot_of(BlockId id) const noexcept {
-  const auto it = slots_.find(id);
-  return it == slots_.end() ? static_cast<std::uint32_t>(entries_.size()) : it->second;
+  const std::uint32_t* slot = slots_.find(id);
+  return slot == nullptr ? static_cast<std::uint32_t>(entries_.size()) : *slot;
 }
 
 std::unique_ptr<AddressIndex> make_address_index(SearchStrategy strategy) {
@@ -354,7 +440,7 @@ std::unique_ptr<AddressIndex> make_address_index(SearchStrategy strategy) {
     case SearchStrategy::LinearScan: return std::make_unique<MapIndex>(true);
     case SearchStrategy::FlatArray: return std::make_unique<FlatIndex>();
   }
-  return std::make_unique<MapIndex>(false);
+  return std::make_unique<FlatIndex>();
 }
 
 }  // namespace hpm::msr

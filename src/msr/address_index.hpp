@@ -7,40 +7,48 @@
 // and Msrlt reaches storage only through an AddressIndex.
 //
 // Implementations:
-//  * OrderedMap / LinearScan — the reference `std::map` structure (and its
-//    deliberately degraded linear ablation), exactly the seed behavior.
-//  * FlatArray — a flat sorted interval array searched with a branchless
-//    binary search. Inserts append to a small unsorted pending run and are
-//    merged amortized; erases tombstone in place and are compacted
-//    amortized, so mass registration (restore) and mass free (teardown)
-//    both stay O(n log n) total while searches touch one contiguous array.
+//  * FlatArray (the default) — a chunked sorted interval array. A top
+//    level array holds each chunk's first base; each chunk holds at most
+//    kChunkEntries sorted {base, size, block} entries. Insert and erase
+//    are two binary searches plus a memmove inside one chunk (a full
+//    chunk splits, an empty one is dropped), so bulk registration in any
+//    order costs O(log n) plus a bounded move per block. Searches are two
+//    branchless binary searches. MemoryBlock records live in a slot arena
+//    owned by the index (fixed pages plus a free list): no block gets its
+//    own allocation.
+//  * OrderedMap — the seed's `std::map`, kept as the property-test oracle
+//    and the paper-faithful reference configuration of Table 1.
+//  * LinearScan — the same map searched linearly (ablation only).
 //
 // All implementations guarantee:
 //  * MemoryBlock storage is pointer-stable until the block is erased
 //    (engines hold MemoryBlock* across subsequent inserts).
 //  * for_each visits blocks in ascending base-address order.
 //  * insert rejects zero-sized blocks and byte-range overlaps with
-//    hpm::MsrError.
+//    hpm::MsrError, checked against the immediate neighbours.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "msr/block.hpp"
+#include "msr/flat_table.hpp"
 
 namespace hpm::msr {
 
-/// Search-strategy ablation knob (bench/ablation_msrlt): the paper's
-/// design implies an ordered structure; LinearScan shows what the
-/// collection term degrades to without one; FlatArray is the
-/// hardware-bound replacement (flat sorted interval array, branchless
-/// binary search).
+/// Search-strategy knob (bench/ablation_msrlt): the paper's design implies
+/// an ordered structure; OrderedMap is the seed's, LinearScan shows what
+/// the collection term degrades to without one, and FlatArray (the
+/// default) is the chunked sorted interval array.
 enum class SearchStrategy : std::uint8_t { OrderedMap, LinearScan, FlatArray };
 
 const char* search_strategy_name(SearchStrategy s) noexcept;
+
+/// FlatArray chunk capacity. Ascending (or descending) registration fills
+/// chunks completely, so entry i of such a run sits in chunk i / 256.
+inline constexpr std::size_t kChunkEntries = 256;
 
 /// Immutable snapshot of an AddressIndex: a dense, sorted interval array
 /// safe for concurrent lookups from many threads (parallel collection).
@@ -77,7 +85,7 @@ class FrozenIndex {
 
  private:
   std::vector<Entry> entries_;  // sorted by base
-  std::unordered_map<BlockId, std::uint32_t> slots_;
+  IdTable<std::uint32_t> slots_;
 };
 
 class AddressIndex {
@@ -109,6 +117,18 @@ class AddressIndex {
 
   /// Compact into an immutable snapshot for concurrent readers.
   virtual FrozenIndex freeze() const = 0;
+
+  /// Registration work done so far: index entries compared (binary-search
+  /// probes, neighbour checks) and entries moved (memmoves, chunk splits,
+  /// chunk-table shifts) by insert and erase. Deterministic, so tests can
+  /// bound the per-insert cost without a clock. Strategies that do not
+  /// count report zeros.
+  struct Work {
+    std::uint64_t inserts = 0;
+    std::uint64_t scanned = 0;
+    std::uint64_t moved = 0;
+  };
+  [[nodiscard]] virtual Work work() const noexcept { return {}; }
 };
 
 /// Factory for the strategy knob.

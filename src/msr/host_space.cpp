@@ -7,7 +7,7 @@
 namespace hpm::msr {
 
 HostSpace::~HostSpace() {
-  for (void* p : owned_) free_raw(p);
+  owned_.for_each([](std::uint64_t p, NoValue) { free_raw(reinterpret_cast<void*>(p)); });
 }
 
 xdr::PrimValue HostSpace::read_prim(Address addr, xdr::PrimKind k) const {
@@ -35,15 +35,25 @@ Address HostSpace::allocate(std::uint64_t size) {
   // data leaf of the block; padding bytes stay unspecified, as in any
   // locally constructed C object.
   void* p = ::operator new(size, std::align_val_t{16});
-  owned_.insert(p);
+  owned_.insert(reinterpret_cast<std::uint64_t>(p));
   return reinterpret_cast<Address>(p);
 }
 
+void* HostSpace::allocate_zeroed(std::uint64_t size) {
+  void* p = reinterpret_cast<void*>(allocate(size));
+  std::memset(p, 0, size);
+  return p;
+}
+
+void HostSpace::free_owned(void* p) {
+  if (!owned_.erase(reinterpret_cast<std::uint64_t>(p))) {
+    throw MsrError("free_owned: storage not owned by space");
+  }
+  free_raw(p);
+}
+
 void HostSpace::release_ownership(Address base) {
-  void* p = reinterpret_cast<void*>(base);
-  const auto it = owned_.find(p);
-  if (it == owned_.end()) throw MsrError("release_ownership: storage not owned by space");
-  owned_.erase(it);
+  if (!owned_.erase(base)) throw MsrError("release_ownership: storage not owned by space");
 }
 
 }  // namespace hpm::msr

@@ -4,11 +4,17 @@
 // straight to memory using the native architecture descriptor (which
 // mirrors the compiler's own layout, validated at registration time by
 // ti::StructBuilder::commit).
+//
+// The space owns every allocation it makes (allocate, allocate_zeroed) in
+// one flat address set until it is freed or released; the destructor
+// frees whatever is still owned. The migratable heap of mig::MigContext
+// allocates through it, so restored and locally allocated heap blocks
+// share one ownership record.
 #pragma once
 
 #include <memory>
-#include <unordered_set>
 
+#include "msr/flat_table.hpp"
 #include "msr/space.hpp"
 
 namespace hpm::msr {
@@ -16,7 +22,7 @@ namespace hpm::msr {
 class HostSpace final : public MemorySpace {
  public:
   explicit HostSpace(const ti::TypeTable& types,
-                     SearchStrategy strategy = SearchStrategy::OrderedMap)
+                     SearchStrategy strategy = SearchStrategy::FlatArray)
       : types_(&types),
         layouts_(types, xdr::native_arch()),
         leaves_(types),
@@ -47,7 +53,20 @@ class HostSpace final : public MemorySpace {
     return reinterpret_cast<std::uint8_t*>(addr);
   }
 
+  /// Uninitialized storage, owned by the space (restoration decodes
+  /// every data leaf into it).
   Address allocate(std::uint64_t size) override;
+
+  /// Zero-filled storage, owned by the space (the migratable heap).
+  void* allocate_zeroed(std::uint64_t size);
+
+  /// Whether `p` is storage this space allocated and still owns.
+  [[nodiscard]] bool owns(const void* p) const noexcept {
+    return owned_.contains(reinterpret_cast<std::uint64_t>(p));
+  }
+
+  /// Free owned storage. Throws hpm::MsrError if the space does not own it.
+  void free_owned(void* p);
 
   /// Track an existing host object. Returns its new block id.
   template <typename T>
@@ -69,12 +88,8 @@ class HostSpace final : public MemorySpace {
   /// must later be released with HostSpace::free_raw.
   void release_ownership(Address base);
 
-  /// Free storage previously obtained from allocate().
+  /// Free storage previously obtained from allocate() and released.
   static void free_raw(void* p) { ::operator delete(p, std::align_val_t{16}); }
-
-  /// Transfer ownership of every allocation at once (the migratable heap
-  /// adopting all restored blocks) — O(1), unlike per-block release.
-  std::unordered_set<void*> take_all_owned() noexcept { return std::move(owned_); }
 
   /// Number of allocations still owned by the space (leak checking).
   [[nodiscard]] std::size_t owned_allocations() const noexcept { return owned_.size(); }
@@ -84,7 +99,7 @@ class HostSpace final : public MemorySpace {
   ti::LayoutMap layouts_;
   ti::LeafIndex leaves_;
   Msrlt msrlt_;
-  std::unordered_set<void*> owned_;
+  AddressSet owned_;
 };
 
 }  // namespace hpm::msr

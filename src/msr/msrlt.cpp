@@ -15,13 +15,12 @@ Msrlt::Msrlt(SearchStrategy strategy)
       blocks_gauge_(obs::Registry::process().gauge("msr.msrlt.blocks")) {}
 
 MemoryBlock* Msrlt::insert_checked(MemoryBlock block) {
-  const auto id_it = by_id_.find(block.id);
-  if (id_it != by_id_.end()) {
+  if (by_id_.contains(block.id)) {
     throw MsrError("duplicate block id " + std::to_string(block.id));
   }
   const std::uint64_t size = block.size;
   MemoryBlock* stored = index_->insert(std::move(block));  // throws on overlap
-  by_id_.emplace(stored->id, stored);
+  by_id_.insert(stored->id, stored);
   tracked_bytes_ += size;
   registrations_.add(1);
   blocks_gauge_.add(1);
@@ -30,17 +29,21 @@ MemoryBlock* Msrlt::insert_checked(MemoryBlock block) {
 
 BlockId Msrlt::register_block(Segment seg, Address base, std::uint64_t size, ti::TypeId type,
                               std::uint32_t count, std::string name) {
-  const BlockId id = make_block_id(seg, next_seq_[static_cast<int>(seg)]++);
+  return register_record(seg, base, size, type, count, std::move(name)).id;
+}
+
+const MemoryBlock& Msrlt::register_record(Segment seg, Address base, std::uint64_t size,
+                                          ti::TypeId type, std::uint32_t count,
+                                          std::string name) {
   MemoryBlock block;
-  block.id = id;
+  block.id = make_block_id(seg, next_seq_[static_cast<int>(seg)]++);
   block.segment = seg;
   block.base = base;
   block.size = size;
   block.type = type;
   block.count = count;
   block.name = std::move(name);
-  insert_checked(std::move(block));
-  return id;
+  return *insert_checked(std::move(block));
 }
 
 void Msrlt::register_with_id(BlockId id, Segment seg, Address base, std::uint64_t size,
@@ -103,17 +106,14 @@ const MemoryBlock* Msrlt::find_containing(Address addr) const {
 
 const MemoryBlock* Msrlt::find_id(BlockId id) const {
   id_lookups_.add(1);
-  const auto it = by_id_.find(id);
-  return it == by_id_.end() ? nullptr : it->second;
+  MemoryBlock* const* block = by_id_.find(id);
+  return block == nullptr ? nullptr : *block;
 }
 
 bool Msrlt::try_mark(BlockId id) {
-  const auto it = by_id_.find(id);
-  if (it == by_id_.end()) throw MsrError("try_mark: unknown block id");
-  marks_.add(1);
-  if (it->second->visit_epoch == epoch_) return false;
-  it->second->visit_epoch = epoch_;
-  return true;
+  MemoryBlock* const* block = by_id_.find(id);
+  if (block == nullptr) throw MsrError("try_mark: unknown block id");
+  return try_mark(**block);
 }
 
 }  // namespace hpm::msr

@@ -60,7 +60,7 @@ void CollectorBase::save_variable(msr::Address block_base) {
                    " lies inside block '" + block->name + "' [" + hex_addr(block->base) +
                    ", +" + std::to_string(block->size) + ") but is not its base");
   }
-  encode_ptr_value(block_base);
+  encode_block_ref(*block, msr::leaf_ordinal(space_, *block, block_base));
   drain();
   flush_instruments();
 }
@@ -77,31 +77,35 @@ void CollectorBase::encode_ptr_value(msr::Address target) {
     ++tally_nulls_;
     return;
   }
-  const msr::LogicalPointer lp = resolve(target);
-  if (!visit(lp.block)) {
+  const msr::MemoryBlock* block = containing(target);
+  if (block == nullptr) msr::throw_untracked_pointer(target);
+  encode_block_ref(*block, msr::leaf_ordinal(space_, *block, target));
+}
+
+void CollectorBase::encode_block_ref(const msr::MemoryBlock& block, std::uint64_t leaf) {
+  if (!visit(block)) {
     enc_.put_u8(kPtrRef);
-    enc_.put_u64(lp.block);
-    enc_.put_u64(lp.leaf);
+    enc_.put_u64(block.id);
+    enc_.put_u64(leaf);
     ++tally_refs_;
     return;
   }
-  const msr::MemoryBlock* block = block_of(lp.block);
   enc_.put_u8(kPtrNew);
-  enc_.put_u64(lp.block);
-  enc_.put_u64(lp.leaf);
-  enc_.put_u8(static_cast<std::uint8_t>(block->segment));
-  enc_.put_u32(block->type);
-  enc_.put_u32(block->count);
+  enc_.put_u64(block.id);
+  enc_.put_u64(leaf);
+  enc_.put_u8(static_cast<std::uint8_t>(block.segment));
+  enc_.put_u32(block.type);
+  enc_.put_u32(block.count);
   ++tally_blocks_;
 
-  if (space_.types().bulk_eligible(block->type)) {
-    encode_flat(*block);  // pure-XDR fast path, nothing to push
+  if (space_.types().bulk_eligible(block.type)) {
+    encode_flat(block);  // pure-XDR fast path, nothing to push
     return;
   }
   Pending p;
-  p.block = block;
-  p.leaf_list = &leaves_.of(block->type);
-  p.elem_size = space_.layouts().of(block->type).size;
+  p.block = &block;
+  p.leaf_list = &leaves_.of(block.type);
+  p.elem_size = space_.layouts().of(block.type).size;
   p.elem_idx = 0;
   p.leaf_idx = 0;
   stack_.push_back(p);

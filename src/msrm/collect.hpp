@@ -7,11 +7,13 @@
 // (long linked lists) cannot overflow the call stack even though the wire
 // format is recursively nested.
 //
-// The traversal/encoding engine lives in CollectorBase with three policy
-// hooks — visited marking, address resolution, and id lookup — so the
-// serial Collector (live MSRLT) and the parallel per-root collectors
-// (frozen index + ownership table, msrm/par_collect.hpp) emit
-// bit-identical streams from one engine.
+// The traversal/encoding engine lives in CollectorBase with two policy
+// hooks — containing-block search and visited marking — so the serial
+// Collector (live MSRLT) and the parallel per-root collectors (frozen
+// index + ownership table, msrm/par_collect.hpp) emit bit-identical
+// streams from one engine. A pointer is resolved once: the search yields
+// the block record, its leaf ordinal is computed from the record, and the
+// same record is marked — no id lookup follows.
 #pragma once
 
 #include <vector>
@@ -45,13 +47,9 @@ class CollectorBase {
   CollectorBase(msr::MemorySpace& space, xdr::Encoder& enc, LeafCache& leaves);
 
   /// --- policy hooks --------------------------------------------------------
-  /// First visit of `id` in this traversal? (true exactly once per block.)
-  virtual bool visit(msr::BlockId id) = 0;
-  /// Address -> (block, leaf ordinal); throws MsrError off the data model.
-  virtual msr::LogicalPointer resolve(msr::Address addr) const = 0;
-  /// Block by id (known-present after resolve).
-  virtual const msr::MemoryBlock* block_of(msr::BlockId id) const = 0;
-  /// Containing-block lookup for root validation.
+  /// First visit of `block` in this traversal? (true exactly once per block.)
+  virtual bool visit(const msr::MemoryBlock& block) = 0;
+  /// Block containing `addr`; nullptr for untracked addresses.
   virtual const msr::MemoryBlock* containing(msr::Address addr) const = 0;
 
   msr::MemorySpace& space_;
@@ -68,6 +66,8 @@ class CollectorBase {
   /// Emit a PtrVal for a target address; pushes a Pending when the target
   /// block is seen for the first time.
   void encode_ptr_value(msr::Address target);
+  /// Emit the PREF or PNEW for leaf `leaf` of `block`.
+  void encode_block_ref(const msr::MemoryBlock& block, std::uint64_t leaf);
 
   /// Encode a pointer-free block's FlatBody: BODY_RAW (one put_bytes of
   /// the source-layout image) when the space exposes raw storage, else
@@ -128,13 +128,7 @@ class Collector final : private detail::OwnedLeafCache, public CollectorBase {
   Collector(msr::MemorySpace& space, xdr::Encoder& enc);
 
  protected:
-  bool visit(msr::BlockId id) override { return space_.msrlt().try_mark(id); }
-  msr::LogicalPointer resolve(msr::Address addr) const override {
-    return msr::resolve_pointer(space_, addr);
-  }
-  const msr::MemoryBlock* block_of(msr::BlockId id) const override {
-    return space_.msrlt().find_id(id);
-  }
+  bool visit(const msr::MemoryBlock& block) override { return space_.msrlt().try_mark(block); }
   const msr::MemoryBlock* containing(msr::Address addr) const override {
     return space_.msrlt().find_containing(addr);
   }

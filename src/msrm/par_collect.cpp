@@ -9,7 +9,6 @@
 
 #include "common/error.hpp"
 #include "msr/address_index.hpp"
-#include "msr/resolve.hpp"
 #include "msrm/collect.hpp"
 #include "obs/metrics.hpp"
 #include "ti/leaf.hpp"
@@ -68,25 +67,6 @@ class FrozenMemo {
   std::uint8_t cursor_[kSets] = {};
   std::uint64_t hits_ = 0;
 };
-
-/// resolve_pointer against the frozen snapshot instead of the live MSRLT
-/// (same math, same error text; skips the msr.msrlt.* search instruments,
-/// whose cache is single-threaded).
-msr::LogicalPointer frozen_resolve(const msr::MemorySpace& space, FrozenMemo& memo,
-                                   msr::Address addr) {
-  const msr::MemoryBlock* block = memo.find(addr);
-  if (block == nullptr) {
-    throw MsrError("pointer " + std::to_string(addr) +
-                   " does not refer to any tracked memory block");
-  }
-  const std::uint64_t elem_size = space.layouts().of(block->type).size;
-  const std::uint64_t byte_off = addr - block->base;
-  const std::uint64_t elem_idx = byte_off / elem_size;
-  const std::uint64_t per_elem = space.leaves().count(block->type);
-  const std::uint64_t inner = ti::ordinal_of(space.leaves(), space.layouts(), block->type,
-                                             byte_off - elem_idx * elem_size);
-  return msr::LogicalPointer{block->id, elem_idx * per_elem + inner};
-}
 
 /// CAS-min claim. True iff `rank` lowered the cell — the caller must then
 /// (re-)descend into the block, because everything below it may now be
@@ -152,17 +132,13 @@ class RootCollector final : public CollectorBase {
         rank_(rank) {}
 
  protected:
-  bool visit(msr::BlockId id) override {
-    const std::uint32_t slot = fz_.slot_of(id);
+  bool visit(const msr::MemoryBlock& block) override {
+    const std::uint32_t slot = fz_.slot_of(block.id);
     if (owner_[slot].load(std::memory_order_relaxed) != rank_) return false;
     if (seen_[slot] == rank_ + 1) return false;  // per-worker array, per-root epoch
     seen_[slot] = rank_ + 1;
     return true;
   }
-  msr::LogicalPointer resolve(msr::Address addr) const override {
-    return frozen_resolve(space_, memo_, addr);
-  }
-  const msr::MemoryBlock* block_of(msr::BlockId id) const override { return fz_.find_id(id); }
   const msr::MemoryBlock* containing(msr::Address addr) const override {
     return memo_.find(addr);
   }

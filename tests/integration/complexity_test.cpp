@@ -5,9 +5,19 @@
 //             O(log n) steps each)  +  Encode-and-copy O(sum Di)
 //   Restore = MSRLT_update (one table append per block, never a search)
 //             + Decode-and-copy O(sum Di)
+//
+// The registration side is checked the same way: the FlatArray index
+// reports the entries it compares and moves, and the work per insert must
+// not grow with n for any registration order.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <string>
+#include <vector>
+
 #include "apps/workload.hpp"
+#include "msr/address_index.hpp"
 #include "msr/host_space.hpp"
 #include "msrm/collect.hpp"
 #include "msrm/restore.hpp"
@@ -140,6 +150,54 @@ TEST(ComplexityModel, StreamBytesScaleWithPayload) {
   const double bytes_ratio =
       static_cast<double>(large.bytes) / static_cast<double>(small.bytes);
   EXPECT_NEAR(bytes_ratio, blocks_ratio, blocks_ratio * 0.5);
+}
+
+/// Registration work (entries compared + moved) per insert of n blocks
+/// into a fresh FlatArray index, in the given order.
+double flat_work_per_insert(const std::string& order, std::size_t n) {
+  std::vector<Address> bases(n);
+  for (std::size_t i = 0; i < n; ++i) bases[i] = 0x10000 + i * 64;
+  if (order == "descending") std::reverse(bases.begin(), bases.end());
+  if (order == "shuffled") std::shuffle(bases.begin(), bases.end(), std::mt19937_64(n));
+  auto index = msr::make_address_index(msr::SearchStrategy::FlatArray);
+  if (order == "below_stack") {
+    // A 64-block stack run above the heap, registered first (top-down).
+    for (std::size_t i = 0; i < 64; ++i) {
+      msr::MemoryBlock local;
+      local.id = msr::make_block_id(msr::Segment::Stack, i + 1);
+      local.segment = msr::Segment::Stack;
+      local.base = (Address{1} << 40) - (i + 1) * 64;
+      local.size = 48;
+      index->insert(std::move(local));
+    }
+  }
+  const msr::AddressIndex::Work before = index->work();
+  std::uint64_t seq = 1;
+  for (const Address base : bases) {
+    msr::MemoryBlock block;
+    block.id = msr::make_block_id(msr::Segment::Heap, seq++);
+    block.base = base;
+    block.size = 48;
+    index->insert(std::move(block));
+  }
+  const msr::AddressIndex::Work after = index->work();
+  EXPECT_EQ(after.inserts - before.inserts, n);
+  const double work =
+      static_cast<double>((after.scanned - before.scanned) + (after.moved - before.moved));
+  return work / static_cast<double>(n);
+}
+
+TEST(ComplexityModel, FlatRegistrationWorkPerInsertStaysFlat) {
+  // Restoration registers one block per PNEW, in whatever order the
+  // allocator hands out storage. O(log n) search plus a bounded in-chunk
+  // move means 16x the blocks costs at most 2x the work per insert; an
+  // index that rescans or reshuffles O(n) entries per insert fails here.
+  for (const char* order : {"ascending", "descending", "shuffled", "below_stack"}) {
+    const double small = flat_work_per_insert(order, std::size_t{1} << 12);
+    const double large = flat_work_per_insert(order, std::size_t{1} << 16);
+    EXPECT_GT(small, 0.0) << order;
+    EXPECT_LE(large, 2.0 * small) << order << ": " << small << " -> " << large;
+  }
 }
 
 }  // namespace
