@@ -99,7 +99,7 @@ void complete_locally(const RunOptions& options, MigrationReport& report,
   CoordinatorMetrics::get().aborts.add(1);
   ti::TypeTable types;
   options.register_types(types);
-  MigContext ctx(types, options.search);
+  MigContext ctx(types);
   ctx.set_stop_after_restore(options.stop_after_restore);
   ctx.begin_restore(std::move(stream));
   run_destination_program(options, ctx, report);
@@ -209,7 +209,7 @@ MigrationReport run_migration_impl(const RunOptions& options) {
     // or damaged link can never take the running workload down with it.
     ti::TypeTable types;
     options.register_types(types);
-    MigContext ctx(types, options.search);
+    MigContext ctx(types);
     ctx.set_migrate_at_poll(options.migrate_at_poll);
     ctx.set_collect_threads(options.collect_threads);
     // The paper's scheduler sends the migration request asynchronously;

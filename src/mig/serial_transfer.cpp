@@ -57,7 +57,7 @@ bool attempt_transfer(const RunOptions& options, const Bytes& stream,
     try {
       ti::TypeTable types;
       options.register_types(types);
-      MigContext ctx(types, options.search);
+      MigContext ctx(types);
       if (duplex) {
         net::send_message(*channels.destination, net::MsgType::Hello,
                           hello_payload(ctx.space().arch().name));

@@ -348,7 +348,7 @@ TxnResult run_pipelined_transaction(
 
     ti::TypeTable types;
     options.register_types(types);
-    MigContext ctx(types, options.search);
+    MigContext ctx(types);
     ctx.set_migrate_at_poll(options.migrate_at_poll);
     ctx.set_collect_threads(options.collect_threads);
     if (!dedup && rendezvoused) {

@@ -22,11 +22,11 @@
 //   5. dedup.bit_identical must be exactly 1: dedup'd transfer is only
 //      legal as a byte-volume optimization, never a restore change.
 //
-// A second form gates one row of any hpm-bench-v1 report from below:
+// A second form gates rows of any hpm-bench-v1 report from below:
 //
-//   perf_guard --floor <BENCH.json> <row> <min>
+//   perf_guard --floor <BENCH.json> <row> <min> [<row> <min> ...]
 //
-// fails when <row> is missing or below <min>. The integrity kernel's
+// fails when any <row> is missing or below its <min>. The integrity kernel's
 // integrity.crc32.speedup_vs_bytewise (BENCH_xdr_throughput.json) is
 // gated this way: a ratio of two kernels timed in one process, not
 // absolute seconds.
@@ -110,11 +110,16 @@ int floor_gate(const std::string& path, const std::string& row, double floor) {
 
 int main(int argc, char** argv) {
   if (argc >= 2 && std::string(argv[1]) == "--floor") {
-    if (argc != 5) {
-      std::fprintf(stderr, "usage: perf_guard --floor <BENCH.json> <row> <min>\n");
+    if (argc < 5 || (argc - 3) % 2 != 0) {
+      std::fprintf(stderr,
+                   "usage: perf_guard --floor <BENCH.json> <row> <min> [<row> <min> ...]\n");
       return 2;
     }
-    return floor_gate(argv[2], argv[3], std::strtod(argv[4], nullptr));
+    int failed = 0;
+    for (int i = 3; i < argc; i += 2) {
+      failed |= floor_gate(argv[2], argv[i], std::strtod(argv[i + 1], nullptr));
+    }
+    return failed;
   }
   if (argc < 2 || argc > 4) {
     std::fprintf(stderr,
