@@ -178,7 +178,7 @@ class MigContext {
   /// Pipelined collection: stream the encoded state through `sink` in
   /// `chunk_bytes` slices while the collection DFS is still walking the
   /// graph. Install before the program starts. The full stream is still
-  /// retained (stream()) so a failed transfer can be retried serially.
+  /// retained (stream()) so a failed leg can be re-sent from it.
   void set_collect_sink(std::size_t chunk_bytes, xdr::Encoder::SinkFn sink);
 
   /// Worker threads for the collection DFS (msrm::collect_roots). 1 =

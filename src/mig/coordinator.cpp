@@ -1,16 +1,15 @@
 // The Coordinator facade: composes the extracted migration layer —
 // SourceSession/DestSession state machines (session.hpp), the serial
 // transfer (serial_transfer.hpp), the transactional pipelined transfer
-// (source_txn.hpp / dest_host.hpp), ports and wiring (port.hpp), and the
-// intent journals — behind the original run_migration() API. The policy
-// that lives HERE is only the composition: which path runs, the serial
-// retry loop, graceful degradation, and crash recovery.
+// and its recovery ladder (source_txn.hpp / dest_host.hpp), ports and
+// wiring (port.hpp), and the intent journals — behind the original
+// run_migration() API. The policy that lives HERE is only the
+// composition: which path runs, the serial retry loop, graceful
+// degradation, and crash recovery.
 #include "mig/coordinator.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <cmath>
 #include <filesystem>
 #include <memory>
 #include <thread>
@@ -20,79 +19,71 @@
 #include "mig/port.hpp"
 #include "mig/serial_transfer.hpp"
 #include "mig/source_txn.hpp"
-#include "msrm/stream.hpp"
 #include "obs/span.hpp"
 
 namespace hpm::mig {
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
 /// Wiring for a classic exclusive-channel session: every connect() builds
 /// a brand-new physical channel pair, applies the run's fault/throttle
 /// wrappers, and hands back DirectPorts. A socket listener rides along as
 /// the ports' keepalive so its fd outlives the conversation.
 SessionWiring direct_wiring(const RunOptions& options,
-                            std::shared_ptr<net::FaultState> fault_state,
-                            std::shared_ptr<net::FaultState> dest_fault_state,
                             std::shared_ptr<const net::DeadlinePolicy> deadline) {
-  SessionWiring wiring;
-  wiring.session_id = 0;
-  wiring.connect = [&options, fault_state, dest_fault_state, deadline] {
+  // The SOURCE-side fault state is shared by every dial: a one-shot fault
+  // (or source crash) that already fired stays fired across the ladder's
+  // re-dials. The destination side keeps one state per host config, so a
+  // chaos script against standby 1 cannot fire again at standby 2.
+  auto fault_state = std::make_shared<net::FaultState>();
+  auto dial = [&options, fault_state, deadline](const net::FaultPlan& dest_plan,
+                                                const std::shared_ptr<net::FaultState>& dest_state) {
     // The destination's first recv spans the program's whole pre-trigger
     // phase, so the per-IO deadline is armed only once the transfer
     // begins (DestinationHost sets it after the first frame). The policy
-    // is consulted per connect: an adaptive deadline warmed on attempt 1
-    // bounds the resume attempts too.
+    // is consulted per dial: an adaptive deadline warmed on attempt 1
+    // bounds the later rungs too.
     net::ChannelPair channels = net::make_channel_pair(
         options.transport, {.spool_path = options.spool_path, .timeout = {}});
     std::shared_ptr<void> keep(std::move(channels.listener));
+    std::unique_ptr<net::ByteChannel> sch = std::move(channels.source);
+    if (options.fault_plan.enabled()) {
+      sch = std::make_unique<net::FaultyChannel>(std::move(sch), options.fault_plan,
+                                                 fault_state);
+    }
+    if (options.throttle) {
+      sch = std::make_unique<net::ThrottledChannel>(std::move(sch), options.link);
+    }
+    if (const auto t = deadline->current(); t.count() > 0) sch->set_timeout(t);
     PortPair pair;
-    pair.source = std::make_unique<DirectPort>(
-        wrap_source_channel(std::move(channels.source), options, fault_state,
-                            deadline->current()),
-        keep);
-    pair.destination = std::make_unique<DirectPort>(
-        wrap_dest_channel(std::move(channels.destination), options, dest_fault_state),
-        keep);
+    pair.source = std::make_unique<DirectPort>(std::move(sch), keep);
+    std::unique_ptr<net::ByteChannel> dch = std::move(channels.destination);
+    if (dest_plan.enabled()) {
+      dch = std::make_unique<net::FaultyChannel>(std::move(dch), dest_plan, dest_state);
+    }
+    pair.destination = std::make_unique<DirectPort>(std::move(dch), keep);
     return pair;
   };
+  SessionWiring wiring;
+  wiring.session_id = 0;
+  wiring.connect = [&options, dial, dest_state = std::make_shared<net::FaultState>()] {
+    return dial(options.dest_fault_plan, dest_state);
+  };
   if (options.failover.enabled()) {
-    // Each candidate gets its own fault state so a chaos script against
-    // standby 1 cannot fire again at standby 2; the SOURCE-side plan
-    // shares the primary's state on purpose — a one-shot source crash
-    // that already fired must stay fired across the re-dial.
     auto standby_states =
         std::make_shared<std::vector<std::shared_ptr<net::FaultState>>>();
     for (std::size_t i = 0; i < options.failover.standbys.size(); ++i) {
       standby_states->push_back(std::make_shared<net::FaultState>());
     }
-    wiring.connect_standby = [&options, fault_state, standby_states,
-                              deadline](std::size_t k) {
-      const DestinationCandidate& cand = options.failover.standbys.at(k);
-      net::ChannelPair channels = net::make_channel_pair(
-          options.transport, {.spool_path = options.spool_path, .timeout = {}});
-      std::shared_ptr<void> keep(std::move(channels.listener));
-      PortPair pair;
-      pair.source = std::make_unique<DirectPort>(
-          wrap_source_channel(std::move(channels.source), options, fault_state,
-                              deadline->current()),
-          keep);
-      std::unique_ptr<net::ByteChannel> dch = std::move(channels.destination);
-      if (cand.dest_fault_plan.enabled()) {
-        dch = std::make_unique<net::FaultyChannel>(std::move(dch), cand.dest_fault_plan,
-                                                   standby_states->at(k));
-      }
-      pair.destination = std::make_unique<DirectPort>(std::move(dch), keep);
-      return pair;
+    wiring.connect_standby = [&options, dial, standby_states](std::size_t k) {
+      return dial(options.failover.standbys.at(k).dest_fault_plan, standby_states->at(k));
     };
   }
   return wiring;
 }
 
-/// Local completion from the retained stream: the graceful-degradation
-/// tail shared by the exclusive and routed paths.
+/// Local completion from the collected stream: the graceful-degradation
+/// tail shared by the serial and transactional paths.
 void complete_locally(const RunOptions& options, MigrationReport& report,
                       Bytes stream) {
   report.outcome = MigrationOutcome::AbortedContinuedLocally;
@@ -112,154 +103,104 @@ std::uint64_t wall_clock_txn() {
           .count());
 }
 
+/// The one transactional body behind run_migration (pipelined) and
+/// run_routed_migration. They differ only in the wiring, the txn id and
+/// the journal naming inside journal_dir: `source_name` for the source,
+/// `dest_name(incarnation)` per destination host.
+MigrationReport run_transactional(const RunOptions& options, const SessionWiring& wiring,
+                                  const net::DeadlinePolicy& deadline, std::uint64_t txn,
+                                  const std::string& source_name,
+                                  const std::function<std::string(std::uint32_t)>& dest_name) {
+  MigrationReport report;
+  TxnJournals journals;
+  if (!options.journal_dir.empty()) {
+    std::error_code ec;
+    std::filesystem::create_directories(options.journal_dir, ec);
+    journals.source = options.journal_dir + "/" + source_name;
+    journals.dest = [&options, &dest_name](std::uint32_t inc) {
+      return options.journal_dir + "/" + dest_name(inc);
+    };
+  }
+  RetainedStream retained;
+  switch (run_pipelined_transaction(options, report, retained, wiring, deadline, journals,
+                                    txn)) {
+    case TxnResult::CompletedLocally:
+      // Rendezvous happened but no transfer was ever started; the
+      // attempt counter follows the serial path's convention.
+      report.attempts = 0;
+      report.outcome = MigrationOutcome::CompletedLocally;
+      break;
+    case TxnResult::Migrated:
+      report.outcome = MigrationOutcome::Migrated;
+      break;
+    case TxnResult::CommittedUnconfirmed:
+      // The Commit record is durable: the destination owns the process
+      // whether or not its confirmation survived. No local fallback.
+      report.outcome = MigrationOutcome::CommittedUnconfirmed;
+      break;
+    case TxnResult::SourceCrashed:
+      // The "crashed" source does nothing further — by definition. The
+      // journals (Coordinator::recover) arbitrate ownership.
+      report.outcome = MigrationOutcome::SourceCrashed;
+      break;
+    case TxnResult::Failed:
+      complete_locally(options, report, retained.materialize());
+      break;
+  }
+  return report;
+}
+
 MigrationReport run_migration_impl(const RunOptions& options) {
   if (!options.register_types || !options.program) {
     throw MigrationError("run_migration requires register_types and program");
   }
-  // Remove a stale spool from an earlier run, and ours when we leave.
+  if (options.pipeline && options.transport != Transport::File) {
+    const std::shared_ptr<net::DeadlinePolicy> deadline = deadline_policy_of(options);
+    return run_transactional(options, direct_wiring(options, deadline), *deadline,
+                             options.txn_id != 0 ? options.txn_id : wall_clock_txn(),
+                             kSourceJournalName,
+                             [](std::uint32_t inc) { return dest_journal_name(inc); });
+  }
+
+  // --- the serial path. Remove a stale spool from an earlier run, and ours
+  // when we leave.
   SpoolCleanup spool_cleanup{options};
   if (options.transport == Transport::File) remove_spool(options.spool_path);
-
   MigrationReport report;
-
-  const bool faults_armed =
-      options.fault_plan.enabled() || options.dest_fault_plan.enabled();
-  const double io_s = options.io_timeout_seconds > 0
-                          ? options.io_timeout_seconds
-                          : (faults_armed ? kFaultInjectionDefaultTimeout : 0);
-  const auto timeout =
-      std::chrono::milliseconds(static_cast<long long>(std::llround(io_s * 1000.0)));
-  const std::shared_ptr<net::DeadlinePolicy> deadline =
-      options.deadline_policy != nullptr ? options.deadline_policy
-                                         : net::DeadlinePolicy::fixed(timeout);
+  const std::chrono::milliseconds timeout = io_timeout(options);
   auto fault_state = std::make_shared<net::FaultState>();
   auto dest_fault_state = std::make_shared<net::FaultState>();
 
+  // Phase 1, source host: run the program until it completes or the
+  // migration trigger fires and the state is collected. No channel exists
+  // yet — the destination is brought up per transfer attempt, so a dead
+  // or damaged link can never take the running workload down with it.
   Bytes stream;
-  RetainedStream retained;
-  bool collected = false;
-  int first_serial_attempt = 1;
-  const int total_attempts = 1 + std::max(0, options.max_retries);
-
-  // Transaction identity + journals, shared by the pipelined transaction
-  // and any serial fallback it degrades into.
-  Journal src_journal;
-  Journal dst_journal;
-  std::uint64_t txn = 0;
-  bool txn_ran = false;
-
-  if (options.pipeline && options.transport != Transport::File) {
-    // --- pipelined path: one resumable transaction; collect/tx/restore
-    // overlapped, further attempts resume from the acked watermark.
-    if (!options.journal_dir.empty()) {
-      std::error_code ec;
-      std::filesystem::create_directories(options.journal_dir, ec);
-      src_journal.open(options.journal_dir + "/" + kSourceJournalName);
-      dst_journal.open(options.journal_dir + "/" + kDestJournalName);
-    }
-    txn = options.txn_id != 0 ? options.txn_id : wall_clock_txn();
-    txn_ran = true;
-    int attempts_used = 0;
-    const SessionWiring wiring =
-        direct_wiring(options, fault_state, dest_fault_state, deadline);
-    // A failover standby journals into its own incarnation-suffixed file
-    // beside dest.journal, so recover() can scan every destination the
-    // transaction ever touched.
-    std::function<std::string(std::uint32_t)> standby_journal;
-    if (!options.journal_dir.empty()) {
-      standby_journal = [dir = options.journal_dir](std::uint32_t inc) {
-        return dir + "/" + dest_journal_name(inc);
-      };
-    }
-    switch (run_pipelined_transaction(options, report, retained, wiring, *deadline,
-                                      src_journal, dst_journal, standby_journal, txn,
-                                      total_attempts, attempts_used)) {
-      case TxnResult::CompletedLocally:
-        // Rendezvous happened but no transfer was ever started; the
-        // attempt counter follows the serial path's convention.
-        report.attempts = 0;
-        report.outcome = MigrationOutcome::CompletedLocally;
-        return report;
-      case TxnResult::Migrated:
-        report.outcome = MigrationOutcome::Migrated;
-        return report;
-      case TxnResult::CommittedUnconfirmed:
-        // The Commit record is durable: the destination owns the process
-        // whether or not its confirmation survived. No local fallback.
-        report.outcome = MigrationOutcome::CommittedUnconfirmed;
-        return report;
-      case TxnResult::SourceCrashed:
-        // The "crashed" source does nothing further — by definition. The
-        // journals (Coordinator::recover) arbitrate ownership.
-        report.outcome = MigrationOutcome::SourceCrashed;
-        return report;
-      case TxnResult::Failed:
-        collected = true;
-        first_serial_attempt = attempts_used + 1;  // retained stream replays serially
-        // The serial path restores from a contiguous buffer; pull the
-        // retained stream back out of its (possibly disk-spilled) home.
-        stream = retained.materialize();
-        retained.release();
-        break;
-    }
-  } else {
-    // --- phase 1, source host: run the program until it completes or the
-    // migration trigger fires and the state is collected. No channel exists
-    // yet — the destination is brought up per transfer attempt, so a dead
-    // or damaged link can never take the running workload down with it.
+  {
     ti::TypeTable types;
     options.register_types(types);
     MigContext ctx(types);
     ctx.set_migrate_at_poll(options.migrate_at_poll);
     ctx.set_collect_threads(options.collect_threads);
-    // The paper's scheduler sends the migration request asynchronously;
-    // model it with a timer thread that pokes the context's request flag.
-    std::atomic<bool> program_done{false};
-    std::thread scheduler;
-    if (options.request_after_seconds > 0) {
-      scheduler = std::thread([&ctx, &program_done, delay = options.request_after_seconds] {
-        const auto fire_at = Clock::now() + std::chrono::duration<double>(delay);
-        while (!program_done.load(std::memory_order_relaxed) && Clock::now() < fire_at) {
-          std::this_thread::sleep_for(std::chrono::microseconds(200));
-        }
-        if (!program_done.load(std::memory_order_relaxed)) ctx.request_migration();
-      });
-    }
-    auto join_scheduler = [&] {
-      program_done.store(true, std::memory_order_relaxed);
-      if (scheduler.joinable()) scheduler.join();
-    };
-    try {
-      try {
-        options.program(ctx);
-      } catch (...) {
-        join_scheduler();  // never leave the timer thread joinable
-        throw;
-      }
-      join_scheduler();
-      // Ran to completion without migrating.
-    } catch (const MigrationExit&) {
-      join_scheduler();
-      collected = true;
-      // Moved, not copied: ctx dies at the end of this block, and the
-      // serial path never reads its digest.
-      stream = ctx.take_stream();  // buffered for replay across attempts
-      report.stream_bytes = stream.size();
-      report.collect_seconds = ctx.metrics().collect_seconds;
-      report.source_arch = ctx.space().arch().name;
-    }
+    const bool collected = run_source_program(options, ctx);
     report.source_polls = ctx.poll_count();
-    // ctx is discarded here: the migrating process has "terminated", and
-    // only the collected stream survives.
-  }
-  if (!collected) {
-    report.outcome = MigrationOutcome::CompletedLocally;
-    return report;
+    if (!collected) {
+      report.outcome = MigrationOutcome::CompletedLocally;
+      return report;
+    }
+    // Moved, not copied: ctx dies at the end of this block (the migrating
+    // process has "terminated"), and the serial path never reads its
+    // digest.
+    stream = ctx.take_stream();  // buffered for replay across attempts
+    report.stream_bytes = stream.size();
+    report.collect_seconds = ctx.metrics().collect_seconds;
+    report.source_arch = ctx.space().arch().name;
   }
 
   // --- phase 2: serial transfer attempts with capped exponential backoff.
+  const int total_attempts = 1 + std::max(0, options.max_retries);
   double backoff = options.retry_backoff_seconds;
-  for (int attempt = first_serial_attempt; attempt <= total_attempts; ++attempt) {
+  for (int attempt = 1; attempt <= total_attempts; ++attempt) {
     if (attempt > 1 && backoff > 0) {
       std::this_thread::sleep_for(std::chrono::duration<double>(backoff));
       backoff = std::min(backoff * 2, options.retry_backoff_cap_seconds);
@@ -278,15 +219,6 @@ MigrationReport run_migration_impl(const RunOptions& options) {
       cause = e.what();
     }
     if (transferred) {
-      if (txn_ran) {
-        // The transaction's pipelined leg failed but its serial fallback
-        // carried the same state across: close the transaction so
-        // recovery reads "destination owns, completed".
-        const std::uint64_t d = msrm::StreamDigest::of({stream.data(), stream.size()});
-        src_journal.append({JournalRecordType::Commit, txn, d, 1, "serial fallback"});
-        src_journal.append({JournalRecordType::Done, txn, d, 1, "serial fallback"});
-        TxnMetrics::get().commits.add(1);
-      }
       report.migrated = true;
       report.outcome = MigrationOutcome::Migrated;
       return report;
@@ -299,13 +231,6 @@ MigrationReport run_migration_impl(const RunOptions& options) {
   // restoring the buffered stream in-process — the source becomes its own
   // destination, so the final result is identical to a run that never
   // migrated.
-  if (txn_ran) {
-    // Durable before the local restore begins: a crash mid-degradation
-    // must still arbitrate to the source.
-    src_journal.append(
-        {JournalRecordType::Abort, txn, 0, 1, "degraded to local completion"});
-    TxnMetrics::get().aborts.add(1);
-  }
   complete_locally(options, report, std::move(stream));
   return report;
 }
@@ -351,18 +276,6 @@ MigrationReport run_routed_migration(const RunOptions& options,
   obs::Span run_span("mig.session.run");
   run_span.arg("session", std::uint64_t{wiring.session_id});
 
-  MigrationReport report;
-  const bool faults_armed =
-      options.fault_plan.enabled() || options.dest_fault_plan.enabled();
-  const double io_s = options.io_timeout_seconds > 0
-                          ? options.io_timeout_seconds
-                          : (faults_armed ? kFaultInjectionDefaultTimeout : 0);
-  const auto timeout =
-      std::chrono::milliseconds(static_cast<long long>(std::llround(io_s * 1000.0)));
-  const std::shared_ptr<net::DeadlinePolicy> deadline =
-      options.deadline_policy != nullptr ? options.deadline_policy
-                                         : net::DeadlinePolicy::fixed(timeout);
-
   // Concurrent sessions share one journal_dir, so both the journal files
   // and the derived txn are keyed per session: the wall clock alone could
   // collide across sessions started the same instant.
@@ -370,50 +283,10 @@ MigrationReport run_routed_migration(const RunOptions& options,
       options.txn_id != 0
           ? options.txn_id
           : (wall_clock_txn() << 10) | (wiring.session_id & 0x3FFu);
-  Journal src_journal;
-  Journal dst_journal;
-  if (!options.journal_dir.empty()) {
-    std::error_code ec;
-    std::filesystem::create_directories(options.journal_dir, ec);
-    src_journal.open(options.journal_dir + "/" + keyed_source_journal_name(txn));
-    dst_journal.open(options.journal_dir + "/" + keyed_dest_journal_name(txn));
-  }
-
-  RetainedStream retained;
-  int attempts_used = 0;
-  const int total_attempts = 1 + std::max(0, options.max_retries);
-  std::function<std::string(std::uint32_t)> standby_journal;
-  if (!options.journal_dir.empty()) {
-    standby_journal = [dir = options.journal_dir, txn](std::uint32_t inc) {
-      return dir + "/" + keyed_dest_journal_name(txn, inc);
-    };
-  }
-  const TxnResult result = run_pipelined_transaction(
-      options, report, retained, wiring, *deadline, src_journal, dst_journal,
-      standby_journal, txn, total_attempts, attempts_used);
-  switch (result) {
-    case TxnResult::CompletedLocally:
-      report.attempts = 0;
-      report.outcome = MigrationOutcome::CompletedLocally;
-      break;
-    case TxnResult::Migrated:
-      report.outcome = MigrationOutcome::Migrated;
-      break;
-    case TxnResult::CommittedUnconfirmed:
-      report.outcome = MigrationOutcome::CommittedUnconfirmed;
-      break;
-    case TxnResult::SourceCrashed:
-      report.outcome = MigrationOutcome::SourceCrashed;
-      break;
-    case TxnResult::Failed:
-      // No serial fallback on a routed channel (untagged v3 frames cannot
-      // share the multiplexed wire): degrade straight to local completion.
-      src_journal.append(
-          {JournalRecordType::Abort, txn, 0, 1, "degraded to local completion"});
-      TxnMetrics::get().aborts.add(1);
-      complete_locally(options, report, retained.materialize());
-      break;
-  }
+  const std::shared_ptr<net::DeadlinePolicy> deadline = deadline_policy_of(options);
+  MigrationReport report = run_transactional(
+      options, wiring, *deadline, txn, keyed_source_journal_name(txn),
+      [txn](std::uint32_t inc) { return keyed_dest_journal_name(txn, inc); });
 
   run_span.arg("outcome", std::string(outcome_name(report.outcome)));
   run_span.finish();

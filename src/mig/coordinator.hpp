@@ -111,7 +111,8 @@ struct RunOptions {
   /// (StateBegin/StateChunk/StateEnd) while still walking the graph; the
   /// destination restores each prefix as it lands. File transport has no
   /// duplex rendezvous, so it always takes the serial path. A failed
-  /// pipelined attempt is retried serially from the retained stream.
+  /// leg climbs the recovery ladder (resume, standby, replay at the
+  /// primary) out of the retained stream; see run_pipelined_transaction.
   bool pipeline = false;
 
   /// Chunk payload size for the pipelined path.
@@ -126,7 +127,8 @@ struct RunOptions {
 
   /// Extra transfer attempts after the first one fails (timeout, CRC
   /// mismatch, disconnect, destination Error/Nack). max_retries + 1 total
-  /// attempts; each replays the stream buffered at collection time.
+  /// attempts; each re-sends the stream buffered at collection time (a
+  /// pipelined resume only its unacked tail).
   int max_retries = 2;
 
   /// Deadline applied to every channel send/recv of the transfer protocol
@@ -323,10 +325,10 @@ MigrationReport run_migration(const RunOptions& options);
 /// Run one migration as a session over caller-provided wiring — the entry
 /// point sched::migrate_many drives once per concurrent session, with
 /// every wiring.connect() binding a fresh epoch of a shared routed
-/// channel. Always takes the pipelined transactional path (a routed
-/// channel has no serial v3 fallback: untagged frames cannot share the
-/// wire), so a transaction that exhausts its attempts degrades straight
-/// to local completion. Journals are keyed by transaction id
+/// channel. Always takes the pipelined transactional path — the same
+/// body and recovery ladder as a pipelined run_migration — and a
+/// transaction that exhausts its attempts degrades to local completion.
+/// Journals are keyed by transaction id
 /// (keyed_source_journal_name) so concurrent sessions can share one
 /// journal_dir; recover with Coordinator::recover(dir, txn). The report's
 /// registry-delta `metrics` overlaps between concurrent sessions — the

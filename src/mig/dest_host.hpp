@@ -53,7 +53,6 @@ class DestinationHost {
 
   [[nodiscard]] bool resumable() const;
   [[nodiscard]] bool finished() const;
-  [[nodiscard]] bool committed() const;
 
   /// The protocol machine, for observers (tests, migrate_many reporting).
   [[nodiscard]] const DestSession& session() const noexcept { return session_; }
@@ -87,7 +86,6 @@ class DestinationHost {
   std::exception_ptr error_;
   bool closed_ = false;
   bool dead_ = false;
-  bool committed_ = false;
   bool finished_ = false;
   std::atomic<bool> killed_{false};
   std::thread thread_;

@@ -3,21 +3,68 @@
 #pragma once
 
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <exception>
 #include <memory>
+#include <stop_token>
 #include <string>
+#include <thread>
 
 #include "mig/coordinator.hpp"
-#include "net/faulty_channel.hpp"
 #include "net/message.hpp"
-#include "net/simnet.hpp"
 
 namespace hpm::mig {
 
 /// Deadline applied when fault injection is on but the caller set none:
 /// an injected stall/truncation must never hang the run.
 inline constexpr double kFaultInjectionDefaultTimeout = 5.0;
+
+/// Per-IO deadline of the transfer protocol: io_timeout_seconds, or the
+/// fault-injection default when faults are armed and none was set
+/// (0 = block without bound).
+inline std::chrono::milliseconds io_timeout(const RunOptions& options) {
+  const bool faults_armed =
+      options.fault_plan.enabled() || options.dest_fault_plan.enabled();
+  const double io_s = options.io_timeout_seconds > 0
+                          ? options.io_timeout_seconds
+                          : (faults_armed ? kFaultInjectionDefaultTimeout : 0);
+  return std::chrono::milliseconds(static_cast<long long>(std::llround(io_s * 1000.0)));
+}
+
+/// The policy every blocking call of a run consults: the caller's (for
+/// instance a supervisor's adaptive one), else fixed at io_timeout().
+inline std::shared_ptr<net::DeadlinePolicy> deadline_policy_of(const RunOptions& options) {
+  return options.deadline_policy != nullptr ? options.deadline_policy
+                                            : net::DeadlinePolicy::fixed(io_timeout(options));
+}
+
+/// Run the program on the source until it completes (false) or the
+/// migration trigger fires and the state is collected (true). The
+/// paper's scheduler sends the migration request asynchronously;
+/// request_after_seconds models it with a timer thread that pokes the
+/// context's request flag, stopped and joined on every exit path. Any
+/// exception but MigrationExit propagates.
+inline bool run_source_program(const RunOptions& options, MigContext& ctx) {
+  std::jthread scheduler;
+  if (options.request_after_seconds > 0) {
+    scheduler = std::jthread([&ctx, delay = options.request_after_seconds](
+                                 const std::stop_token& done) {
+      const auto fire_at =
+          std::chrono::steady_clock::now() + std::chrono::duration<double>(delay);
+      while (!done.stop_requested() && std::chrono::steady_clock::now() < fire_at) {
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+      }
+      if (!done.stop_requested()) ctx.request_migration();
+    });
+  }
+  try {
+    options.program(ctx);
+  } catch (const MigrationExit&) {
+    return true;
+  }
+  return false;
+}
 
 inline void remove_spool(const std::string& path) {
   std::remove(path.c_str());
@@ -61,31 +108,6 @@ inline void run_destination_program(const RunOptions& options, MigContext& ctx,
   } catch (const MigrationExit&) {
   }
   report.restore_seconds = ctx.metrics().restore_seconds;
-}
-
-inline std::unique_ptr<net::ByteChannel> wrap_source_channel(
-    std::unique_ptr<net::ByteChannel> ch, const RunOptions& options,
-    const std::shared_ptr<net::FaultState>& fault_state,
-    std::chrono::milliseconds timeout) {
-  if (options.fault_plan.enabled()) {
-    ch = std::make_unique<net::FaultyChannel>(std::move(ch), options.fault_plan,
-                                              fault_state);
-  }
-  if (options.throttle) {
-    ch = std::make_unique<net::ThrottledChannel>(std::move(ch), options.link);
-  }
-  if (timeout.count() > 0) ch->set_timeout(timeout);
-  return ch;
-}
-
-inline std::unique_ptr<net::ByteChannel> wrap_dest_channel(
-    std::unique_ptr<net::ByteChannel> ch, const RunOptions& options,
-    const std::shared_ptr<net::FaultState>& dest_fault_state) {
-  if (options.dest_fault_plan.enabled()) {
-    ch = std::make_unique<net::FaultyChannel>(std::move(ch), options.dest_fault_plan,
-                                              dest_fault_state);
-  }
-  return ch;
 }
 
 }  // namespace hpm::mig

@@ -16,8 +16,8 @@
 //                                   source Commit)
 //              = Source       otherwise (presumed abort)
 //
-// The decisive record is the LAST one: a transaction that aborted its
-// pipelined leg and then committed a serial retry ends at Commit/Done.
+// The decisive record is the LAST one: a transaction that aborted one leg
+// and then committed a replay or standby leg ends at Commit/Done.
 // Replay tolerates a torn tail — a record cut short or CRC-damaged by a
 // crash mid-append is ignored along with everything after it, exactly
 // the prefix-durability a write-ahead log needs.

@@ -14,8 +14,7 @@ namespace hpm::mig {
 /// recoverable failure returns false with `cause` set. Unrecoverable
 /// source-side failures (anything outside the hpm::Error hierarchy)
 /// propagate. This is the only path File transport can take (no duplex
-/// rendezvous), and the fallback a failed pipelined transaction replays
-/// its retained stream through.
+/// rendezvous); a pipelined transaction never reaches it.
 bool attempt_transfer(const RunOptions& options, const Bytes& stream,
                       MigrationReport& report,
                       const std::shared_ptr<net::FaultState>& fault_state,

@@ -1,8 +1,6 @@
 #include "mig/source_txn.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <cmath>
 #include <filesystem>
 #include <memory>
 #include <thread>
@@ -124,82 +122,163 @@ CommitResult source_commit_phase(MessagePort& port, ControlInbox& inbox,
 
 }  // namespace
 
-TxnResult run_pipelined_transaction(
-    const RunOptions& options, MigrationReport& report, RetainedStream& stream,
-    const SessionWiring& wiring, const net::DeadlinePolicy& deadline,
-    Journal& src_journal, Journal& dst_journal,
-    const std::function<std::string(std::uint32_t)>& standby_journal_path,
-    std::uint64_t txn, int total_attempts, int& attempts_used) {
+Rung next_rung(const LadderState& s) noexcept {
+  switch (s.failure) {
+    case LegFailure::None:
+    case LegFailure::Killed:
+    case LegFailure::ProgramError:
+    case LegFailure::Foreign:
+      return {.kind = RungKind::Stop};
+    default:
+      break;
+  }
+  const bool budget = s.attempts_used < s.total_attempts;
+  if (s.failure == LegFailure::TransportDeath && s.resumable && budget) {
+    return {.kind = RungKind::Resume, .incarnation = s.incarnation};
+  }
+  // Standby k always runs as incarnation k + 2, so a candidate is open
+  // only while that token still lies above the failed leg's. A veto is a
+  // verdict on the stream, not the host: no standby would vote otherwise.
+  if (s.failure != LegFailure::Veto && s.next_standby < s.standbys &&
+      s.next_standby + 2 > s.incarnation) {
+    return {.kind = RungKind::Standby,
+            .standby = s.next_standby,
+            .incarnation = static_cast<std::uint32_t>(s.next_standby + 2)};
+  }
+  // A supervisor's verdict poisons the primary's binding for good.
+  if (s.failure != LegFailure::Cancelled && budget) {
+    return {.kind = RungKind::Replay,
+            .incarnation = std::max(s.incarnation + 1,
+                                    static_cast<std::uint32_t>(s.standbys + 2))};
+  }
+  return {.kind = RungKind::Fail};
+}
+
+TxnResult run_pipelined_transaction(const RunOptions& options, MigrationReport& report,
+                                    RetainedStream& stream, const SessionWiring& wiring,
+                                    const net::DeadlinePolicy& deadline,
+                                    const TxnJournals& journals, std::uint64_t txn) {
   TxnMetrics::get().begins.add(1);
   report.txn_id = txn;
-
-  SourceSession session(wiring.session_id, txn);
-
-  PortPair ports = wiring.connect();
-  std::unique_ptr<MessagePort> src_port = std::move(ports.source);
-  src_port->set_timeout(deadline.current());
-
-  DestinationHost dest(options, report, dst_journal, src_journal.path(), deadline,
-                       wiring.session_id);
-  dest.start(std::move(ports.destination));
-
-  CoordinatorMetrics::get().attempts.add(1);
-  attempts_used = 1;
-  report.attempts = 1;
-
+  Journal src_journal;
+  if (!journals.source.empty()) src_journal.open(journals.source);
   const std::size_t cb = std::max<std::size_t>(1, options.chunk_bytes);
-  // Dedup'd transfer (DESIGN.md §15): the manifest needs every chunk
-  // address up front, so the stream is collected in full before anything
-  // but StateBegin goes out — no sender thread, no collect sink.
-  const bool dedup = !options.chunk_cache_dir.empty();
+  const int total_attempts = 1 + std::max(0, options.max_retries);
+  const std::size_t standbys =
+      wiring.connect_standby != nullptr ? options.failover.standbys.size() : 0;
+
+  std::unique_ptr<SourceSession> session;
+  // --- the current leg: one DestinationHost plus the source's binding to
+  // it. A resume keeps the leg and swaps the binding; standby and replay
+  // rungs end it and start a fresh host under a new incarnation.
+  RunOptions standby_options;  // a standby host's config (outlives its host)
+  std::unique_ptr<Journal> leg_journal;
+  std::unique_ptr<DestinationHost> host;
+  std::unique_ptr<MessagePort> port;
   std::unique_ptr<ControlInbox> inbox;
+  bool leg_dedup = false;  // the leg negotiates a manifest: chunk frames carry a codec tag
+  bool leg_finished = false;
 
-  ChunkQueue queue(kChunkQueueCapacity);
-  std::exception_ptr sender_error;
-  std::thread sender;
-  auto join_sender = [&] {
-    if (sender.joinable()) sender.join();
-  };
-  /// Stop the pump (which aborts the port) so a blocked peer wakes and
-  /// the port can be replaced or destroyed.
-  auto fail_channel = [&] {
-    if (inbox != nullptr) {
-      inbox->stop();
-    } else if (src_port != nullptr) {
-      try {
-        src_port->abort();
-      } catch (...) {
-      }
-    }
-  };
-  /// Record a lost physical binding in the machine — from the states where
-  /// a binding can be lost. (A rejected frame already landed in Aborted.)
-  auto note_link_lost = [&] {
-    const SessionState s = session.state();
-    if (s == SessionState::Streaming || s == SessionState::Prepared ||
-        s == SessionState::Resuming) {
-      session.link_lost();
-    }
-  };
-
-  std::exception_ptr source_error;
   /// Set when options.program itself throws (anything but MigrationExit):
   /// a workload failure is the caller's to see, never a retryable
   /// transport fault — rethrown after teardown, matching the serial path.
   std::exception_ptr program_error;
-  double measured_tx = 0;
+  std::exception_ptr foreign_error;
   bool collected = false;
-  /// False when the primary died before its Hello ever arrived: attempt 1
-  /// then runs the program sink-less (full in-memory collection) and the
-  /// failover block replays the retained stream at a standby — without
-  /// standbys the Hello failure stays fatal for the attempt, as before.
-  bool rendezvoused = false;
-  bool killed = false;
-  bool attempt_ok = false;
   bool unconfirmed = false;
   std::uint64_t digest = 0;
   net::StateEndInfo end;
+  double measured_tx = 0;
+  double backoff = options.retry_backoff_seconds;
+  std::size_t next_standby = 0;
   Clock::time_point pipeline_start{};
+  Clock::time_point declared_dead{};
+
+  auto start_leg = [&](const RunOptions& leg_options, std::uint32_t inc, PortPair ports) {
+    leg_journal = std::make_unique<Journal>();
+    if (journals.dest) {
+      const std::string path = journals.dest(inc);
+      if (!path.empty()) leg_journal->open(path);
+    }
+    port = std::move(ports.source);
+    port->set_timeout(deadline.current());
+    host = std::make_unique<DestinationHost>(leg_options, report, *leg_journal,
+                                             src_journal.path(), deadline, wiring.session_id);
+    host->start(std::move(ports.destination));
+    leg_dedup = !leg_options.chunk_cache_dir.empty();
+  };
+  auto end_leg = [&] {
+    if (inbox != nullptr) {
+      inbox->stop();
+      inbox.reset();  // the pump must be gone before its port is
+    }
+    if (host != nullptr) {
+      host->close();
+      host->join();
+      leg_finished = host->finished();
+      host.reset();
+    }
+    if (port != nullptr) {
+      try {
+        port->close();
+      } catch (...) {
+      }
+      port.reset();
+    }
+  };
+  auto spend_attempt = [&] {
+    ++report.attempts;
+    CoordinatorMetrics::get().attempts.add(1);
+    return "attempt " + std::to_string(report.attempts);
+  };
+  /// Resume and replay rungs wait out the capped exponential backoff.
+  auto spend_retry = [&] {
+    if (backoff > 0) {
+      std::this_thread::sleep_for(std::chrono::duration<double>(backoff));
+      backoff = std::min(backoff * 2, options.retry_backoff_cap_seconds);
+    }
+    CoordinatorMetrics::get().retries.add(1);
+    return spend_attempt();
+  };
+  auto commit = [&] {
+    unconfirmed = source_commit_phase(*port, *inbox, *session, deadline, txn, digest,
+                                      src_journal) == CommitResult::Unconfirmed;
+    return LegFailure::None;
+  };
+
+  /// Run one rung's body and classify its failure once. A rung that
+  /// never collected leaves no cause: the workload's fate is not a
+  /// transfer failure.
+  auto guarded = [&](const std::string& label, auto&& body) -> LegFailure {
+    LegFailure failure = LegFailure::Foreign;
+    auto note = [&](const std::exception& e, LegFailure f) {
+      if (collected) report.failure_causes.push_back(label + ": " + e.what());
+      return f;
+    };
+    try {
+      return body();
+    } catch (const KilledError& e) {
+      failure = note(e, LegFailure::Killed);
+    } catch (const CancelledError& e) {
+      failure = note(e, LegFailure::Cancelled);
+    } catch (const Error& e) {
+      // Only a rejection lands the machine in Aborted; a dead binding
+      // leaves it live, where link_lost and redirect_decided stay legal.
+      failure = note(e, session->terminal() ? LegFailure::Veto : LegFailure::TransportDeath);
+    } catch (...) {
+      foreign_error = std::current_exception();
+    }
+    // Stop the pump (which aborts the port) so a blocked peer wakes.
+    if (inbox != nullptr) {
+      inbox->stop();
+    } else if (port != nullptr) {
+      try {
+        port->abort();
+      } catch (...) {
+      }
+    }
+    return program_error != nullptr ? LegFailure::ProgramError : failure;
+  };
 
   // Chunk reads go through the retained stream so memory-resident and
   // disk-spilled streams replay identically; the buffer is reused by the
@@ -214,12 +293,50 @@ TxnResult run_pipelined_transaction(
     return {chunk_buf.data(), len};
   };
 
-  /// Dedup negotiation + residual transfer on the CURRENT port/inbox:
-  /// announce the manifest, learn the destination's miss set, ship only
-  /// the misses (codec-compressed when it pays), then StateEnd. Used by
-  /// attempt 1 against the primary and by a failover replay against a
-  /// warm standby — the standby answers with its OWN store's misses, so a
-  /// warm cache turns the full [0, end) replay into a trickle.
+  /// Send one StateChunk; returns its payload size. A manifest-negotiated
+  /// leg (`coded`) frames the body as u32 seq | u8 codec tag | body,
+  /// VarintDelta-encoded when `codec` asks for it and the encoding pays.
+  auto send_chunk = [&](std::uint32_t seq, std::span<const std::uint8_t> body, bool coded,
+                        WireCodec codec = WireCodec::None) -> std::size_t {
+    Bytes payload;
+    if (codec == WireCodec::VarintDelta) {
+      Bytes encoded = codec_encode(body);
+      if (encoded.size() < body.size()) {
+        DedupMetrics::get().codec_ratio.record(static_cast<double>(encoded.size()) /
+                                               static_cast<double>(body.size()));
+        payload = net::encode_state_chunk_coded(
+            seq, static_cast<std::uint8_t>(WireCodec::VarintDelta), encoded);
+      } else {
+        DedupMetrics::get().codec_ratio.record(1.0);  // raw fallback: encoding did not pay
+      }
+    }
+    if (payload.empty()) {
+      payload = coded ? net::encode_state_chunk_coded(seq, 0, body)
+                      : net::encode_state_chunk(seq, body);
+    }
+    port->send(net::MsgType::StateChunk, payload);
+    PipelineMetrics& pm = PipelineMetrics::get();
+    pm.chunks.add(1);
+    pm.chunk_bytes.record(static_cast<double>(payload.size() - (coded ? 5 : 4)));
+    return payload.size();
+  };
+
+  /// Chunks [from, end) out of the retained stream, then StateEnd: the one
+  /// range sender of every resume and raw replay. A resume on a dedup leg
+  /// retransmits raw-tagged — former cache hits included, since the
+  /// destination stopped splicing when the link dropped.
+  auto send_range = [&](std::uint32_t from, bool coded) {
+    for (std::uint32_t seq = from; seq < end.chunk_count; ++seq) {
+      send_chunk(seq, read_chunk(seq), coded);
+    }
+    port->send(net::MsgType::StateEnd, net::encode_state_end(end));
+  };
+
+  /// Dedup negotiation + residual transfer on the current leg (DESIGN.md
+  /// §15): announce the manifest, learn the destination's miss set, ship
+  /// only the misses (codec-compressed when it pays), then StateEnd. A
+  /// warm standby answers with its OWN store's misses, so its replay is a
+  /// trickle.
   auto negotiate_and_send = [&] {
     DedupMetrics& dm = DedupMetrics::get();
     const std::uint32_t nchunks = end.chunk_count;
@@ -229,7 +346,7 @@ TxnResult run_pipelined_transaction(
       const Bytes payload =
           net::encode_manifest_begin({txn, nchunks, options.chunk_bytes, caps});
       wire += payload.size();
-      src_port->send(net::MsgType::ManifestBegin, payload);
+      port->send(net::MsgType::ManifestBegin, payload);
     }
     std::vector<net::ManifestEntry> batch;
     batch.reserve(net::kManifestEntriesPerFrame);
@@ -240,7 +357,7 @@ TxnResult run_pipelined_transaction(
       if (batch.size() == net::kManifestEntriesPerFrame || i + 1 == nchunks) {
         const Bytes payload = net::encode_manifest_chunk(batch_first, batch);
         wire += payload.size();
-        src_port->send(net::MsgType::ManifestChunk, payload);
+        port->send(net::MsgType::ManifestChunk, payload);
         batch_first = i + 1;
         batch.clear();
       }
@@ -259,7 +376,6 @@ TxnResult run_pipelined_transaction(
         (ack.codec != 0 && (caps & kCodecCapVarintDelta) == 0)) {
       throw ProtocolError("destination chose a codec the source never offered");
     }
-    const WireCodec codec = static_cast<WireCodec>(ack.codec);
     std::int64_t prev_idx = -1;
     for (const std::uint32_t idx : ack.misses) {
       if (idx >= nchunks || static_cast<std::int64_t>(idx) <= prev_idx) {
@@ -267,474 +383,338 @@ TxnResult run_pipelined_transaction(
       }
       prev_idx = idx;
     }
-
-    PipelineMetrics& pm = PipelineMetrics::get();
     for (const std::uint32_t idx : ack.misses) {
-      const std::span<const std::uint8_t> body = read_chunk(idx);
-      Bytes payload;
-      if (codec == WireCodec::VarintDelta) {
-        Bytes coded = codec_encode(body);
-        if (coded.size() < body.size()) {
-          dm.codec_ratio.record(static_cast<double>(coded.size()) /
-                                static_cast<double>(body.size()));
-          payload = net::encode_state_chunk_coded(
-              idx, static_cast<std::uint8_t>(WireCodec::VarintDelta), coded);
-        } else {
-          dm.codec_ratio.record(1.0);  // raw fallback: encoding did not pay
-        }
-      }
-      if (payload.empty()) payload = net::encode_state_chunk_coded(idx, 0, body);
-      wire += payload.size();
-      src_port->send(net::MsgType::StateChunk, payload);
-      pm.chunks.add(1);
-      pm.chunk_bytes.record(static_cast<double>(payload.size() - 5));
+      wire += send_chunk(idx, read_chunk(idx), true, static_cast<WireCodec>(ack.codec));
     }
     {
       const Bytes payload = net::encode_state_end(end);
       wire += payload.size();
-      src_port->send(net::MsgType::StateEnd, payload);
+      port->send(net::MsgType::StateEnd, payload);
     }
     report.dedup_miss_chunks = ack.misses.size();
     report.dedup_hit_chunks = nchunks - ack.misses.size();
     report.dedup_wire_bytes = wire;
   };
 
-  // --- attempt 1: stream while collecting ----------------------------------
-  try {
-    try {
-      session.on_frame(src_port->recv());  // Hello: version-checked by the machine
-      rendezvoused = true;
-    } catch (const KilledError&) {
-      throw;  // an injected SOURCE death is a crash, never a dead primary
-    } catch (const Error& e) {
-      if (!options.failover.enabled() || wiring.connect_standby == nullptr) throw;
-      report.failure_causes.push_back("attempt 1: " + std::string(e.what()));
+  /// The host's Hello (version-checked by the machine) opens streaming.
+  auto rendezvous = [&] {
+    session->on_frame(port->recv());
+    session->begin_streaming();
+    inbox = std::make_unique<ControlInbox>(*port, *session);
+  };
+  /// Write-ahead: the incarnation exists on disk before any frame names
+  /// it on the wire.
+  auto begin_leg = [&](std::uint32_t inc, const std::string& note) {
+    src_journal.append({JournalRecordType::Begin, txn, 0, inc, note});
+    port->send(net::MsgType::StateBegin,
+               net::encode_state_begin({options.chunk_bytes, txn, inc}));
+  };
+  /// The rest of a leg out of the retained stream — the manifest
+  /// negotiation, or chunks [from, end) — timed as one mig.tx span, then
+  /// the commit phase.
+  auto send_and_commit = [&](const char* span_arg, std::uint64_t span_value, bool manifest,
+                             std::uint32_t from) {
+    obs::Span tx_span("mig.tx");
+    tx_span.arg("transport", std::string(net::transport_name(options.transport)));
+    tx_span.arg(span_arg, span_value);
+    if (manifest) {
+      negotiate_and_send();
+    } else {
+      send_range(from, leg_dedup);
     }
-    if (rendezvoused) {
-      session.begin_streaming();
-      inbox = std::make_unique<ControlInbox>(*src_port, session);
-    }
+    measured_tx += tx_span.finish();
+    return commit();
+  };
 
-    if (!dedup && rendezvoused) sender = std::thread([&] {
+  // --- rung 1: the primary at incarnation 1, streaming chunks while the
+  // collection DFS still walks the graph. Dedup'd transfer (DESIGN.md §15)
+  // collects in full first — the manifest needs every chunk address — so
+  // it runs no sender thread and no collect sink.
+  session = std::make_unique<SourceSession>(wiring.session_id, txn);
+  start_leg(options, 1, wiring.connect());
+  spend_attempt();
+  const bool dedup = leg_dedup;
+  ChunkQueue queue(kChunkQueueCapacity);
+  std::exception_ptr sender_error;
+  std::thread sender;
+  auto join_sender = [&] {
+    if (sender.joinable()) sender.join();
+  };
+  /// Set when the primary's Hello never came: the program then runs
+  /// sink-less (full in-memory collection) and the ladder moves the
+  /// retained stream to another leg.
+  std::exception_ptr hello_error;
+
+  LegFailure failure = guarded("attempt 1", [&] {
+    try {
       try {
-        PipelineMetrics& pm = PipelineMetrics::get();
-        std::unique_ptr<obs::Span> tx_span;
-        Bytes chunk;
-        std::uint32_t seq = 0;
-        while (queue.pop(chunk)) {
-          if (tx_span == nullptr) {
-            tx_span = std::make_unique<obs::Span>("mig.tx");
-            tx_span->arg("transport",
-                         std::string(net::transport_name(options.transport)));
-            // Write-ahead: the transaction exists on disk before any
-            // frame names it on the wire.
-            src_journal.append({JournalRecordType::Begin, txn, 0, 1, "source"});
-            src_port->send(net::MsgType::StateBegin,
-                           net::encode_state_begin({options.chunk_bytes, txn, 1}));
-          }
-          src_port->send(net::MsgType::StateChunk, net::encode_state_chunk(seq++, chunk));
-          pm.chunks.add(1);
-          pm.chunk_bytes.record(static_cast<double>(chunk.size()));
-        }
-        if (const auto e = queue.end_info()) {
-          src_port->send(net::MsgType::StateEnd, net::encode_state_end(*e));
-          if (tx_span != nullptr) measured_tx = tx_span->finish();
-        }
-      } catch (...) {
-        sender_error = std::current_exception();
-        queue.poison();  // collection must never block on a dead sender
+        rendezvous();
+      } catch (const KilledError&) {
+        throw;  // an injected SOURCE death is a crash, never a dead primary
+      } catch (const Error&) {
+        hello_error = std::current_exception();
       }
-    });
-
-    ti::TypeTable types;
-    options.register_types(types);
-    MigContext ctx(types);
-    ctx.set_migrate_at_poll(options.migrate_at_poll);
-    ctx.set_collect_threads(options.collect_threads);
-    if (!dedup && rendezvoused) {
-      // No sink without a live primary: the sender thread never started,
-      // so a bounded queue would block collection at capacity.
-      ctx.set_collect_sink(options.chunk_bytes, [&](std::span<const std::uint8_t> bytes) {
-        if (pipeline_start == Clock::time_point{}) pipeline_start = Clock::now();
-        queue.push(Bytes(bytes.begin(), bytes.end()));
-      });
-    }
-
-    std::atomic<bool> program_done{false};
-    std::thread scheduler;
-    if (options.request_after_seconds > 0) {
-      scheduler = std::thread([&ctx, &program_done, delay = options.request_after_seconds] {
-        const auto fire_at = Clock::now() + std::chrono::duration<double>(delay);
-        while (!program_done.load(std::memory_order_relaxed) && Clock::now() < fire_at) {
-          std::this_thread::sleep_for(std::chrono::microseconds(200));
+      const bool streaming = hello_error == nullptr;
+      if (!dedup && streaming) sender = std::thread([&] {
+        try {
+          std::unique_ptr<obs::Span> tx_span;
+          Bytes chunk;
+          std::uint32_t seq = 0;
+          while (queue.pop(chunk)) {
+            if (tx_span == nullptr) {
+              tx_span = std::make_unique<obs::Span>("mig.tx");
+              tx_span->arg("transport",
+                           std::string(net::transport_name(options.transport)));
+              begin_leg(1, "source");
+            }
+            send_chunk(seq++, chunk, false);
+          }
+          if (const auto e = queue.end_info()) {
+            port->send(net::MsgType::StateEnd, net::encode_state_end(*e));
+            if (tx_span != nullptr) measured_tx = tx_span->finish();
+          }
+        } catch (...) {
+          sender_error = std::current_exception();
+          queue.poison();  // collection must never block on a dead sender
         }
-        if (!program_done.load(std::memory_order_relaxed)) ctx.request_migration();
       });
-    }
-    auto join_scheduler = [&] {
-      program_done.store(true, std::memory_order_relaxed);
-      if (scheduler.joinable()) scheduler.join();
-    };
-    try {
+
+      ti::TypeTable types;
+      options.register_types(types);
+      MigContext ctx(types);
+      ctx.set_migrate_at_poll(options.migrate_at_poll);
+      ctx.set_collect_threads(options.collect_threads);
+      if (!dedup && streaming) {
+        // No sink without a live primary: the sender thread never started,
+        // so a bounded queue would block collection at capacity.
+        ctx.set_collect_sink(options.chunk_bytes, [&](std::span<const std::uint8_t> bytes) {
+          if (pipeline_start == Clock::time_point{}) pipeline_start = Clock::now();
+          queue.push(Bytes(bytes.begin(), bytes.end()));
+        });
+      }
       try {
-        options.program(ctx);
-      } catch (const MigrationExit&) {
-        join_scheduler();
-        throw;
+        collected = run_source_program(options, ctx);
       } catch (...) {
-        join_scheduler();
         program_error = std::current_exception();
         throw;
       }
-      join_scheduler();
-    } catch (const MigrationExit&) {
-      collected = true;
-      stream.set(ctx.stream());  // retained for resumes, failover, serial retries
-      digest = ctx.stream_digest();
-      report.stream_digest = digest;
-      report.stream_bytes = stream.size();
-      report.collect_seconds = ctx.metrics().collect_seconds;
-      report.source_arch = ctx.space().arch().name;
-      if (!options.retain_dir.empty()) {
-        // The spill is the transaction's ONLY replay source once it
-        // lands; it must exist before the heap copy is freed.
-        std::error_code ec;
-        std::filesystem::create_directories(options.retain_dir, ec);
-        stream.spill(options.retain_dir + "/retained-" + std::to_string(txn) +
-                     ".stream");
+      if (collected) {
+        stream.set(ctx.stream());  // retained for every later rung
+        digest = ctx.stream_digest();
+        report.stream_digest = digest;
+        report.stream_bytes = stream.size();
+        report.collect_seconds = ctx.metrics().collect_seconds;
+        report.source_arch = ctx.space().arch().name;
+        if (!options.retain_dir.empty()) {
+          // The spill is the transaction's ONLY replay source once it
+          // lands; it must exist before the heap copy is freed.
+          std::error_code ec;
+          std::filesystem::create_directories(options.retain_dir, ec);
+          stream.spill(options.retain_dir + "/retained-" + std::to_string(txn) +
+                       ".stream");
+        }
       }
-    }
-    report.source_polls = ctx.poll_count();
+      report.source_polls = ctx.poll_count();
 
-    if (!collected) {
-      queue.close(std::nullopt);
-      join_sender();
-      if (rendezvoused) src_port->send(net::MsgType::Shutdown, {});
-      session.abort_decided("no migration was triggered");
-    } else {
+      if (!collected) {
+        queue.close(std::nullopt);
+        join_sender();
+        if (streaming) port->send(net::MsgType::Shutdown, {});
+        session->abort_decided("no migration was triggered");
+        return LegFailure::None;
+      }
       // Stream-derived, NOT queue.pushed(): a poisoned queue undercounts
       // (push drops silently after a sender failure), and a resume's
       // StateEnd must describe the whole fixed-size chunking.
       end.chunk_count = static_cast<std::uint32_t>((stream.size() + cb - 1) / cb);
       end.total_bytes = stream.size();
       end.digest = digest;
-      session.set_stream(end.chunk_count, digest);
-      if (!rendezvoused) {
-        // Nothing to send the dead primary: attempt 1 is over (its Hello
-        // failure is already recorded) and the failover block replays the
-        // retained stream at a standby.
-        queue.close(std::nullopt);
-        join_sender();
-      } else if (!dedup) {
-        queue.close(end);
-        join_sender();
-        if (sender_error != nullptr) std::rethrow_exception(sender_error);
-      } else {
-        // --- dedup: announce addresses, learn the miss set, ship only it ---
-        obs::Span tx_span("mig.tx");
-        tx_span.arg("transport", std::string(net::transport_name(options.transport)));
-        tx_span.arg("dedup", std::uint64_t{1});
+      session->set_stream(end.chunk_count, digest);
+      if (!streaming) std::rethrow_exception(hello_error);
+      if (dedup) {
         pipeline_start = Clock::now();
-        src_journal.append({JournalRecordType::Begin, txn, 0, 1, "source"});
-        src_port->send(net::MsgType::StateBegin,
-                       net::encode_state_begin({options.chunk_bytes, txn, 1}));
-        negotiate_and_send();
-        measured_tx = tx_span.finish();
+        begin_leg(1, "source");
+        return send_and_commit("dedup", 1, true, 0);
       }
-      if (rendezvoused) {
-        const CommitResult r =
-            source_commit_phase(*src_port, *inbox, session, deadline, txn, digest,
-                                src_journal);
-        unconfirmed = (r == CommitResult::Unconfirmed);
-        attempt_ok = true;
-      }
-    }
-  } catch (...) {
-    source_error = std::current_exception();
-    queue.poison();
-    queue.close(std::nullopt);
-    join_sender();
-    fail_channel();
-  }
-
-  // Classify the attempt-1 failure before deciding whether to resume.
-  bool fatal_other = false;  // non-hpm exception: propagate after teardown
-  if (source_error != nullptr && program_error == nullptr) {
-    try {
-      std::rethrow_exception(source_error);
-    } catch (const KilledError& e) {
-      killed = true;
-      if (collected) report.failure_causes.push_back("attempt 1: " + std::string(e.what()));
-    } catch (const Error& e) {
-      if (collected) report.failure_causes.push_back("attempt 1: " + std::string(e.what()));
+      queue.close(end);
+      join_sender();
+      if (sender_error != nullptr) std::rethrow_exception(sender_error);
+      return commit();
     } catch (...) {
-      fatal_other = true;
+      queue.poison();
+      queue.close(std::nullopt);
+      join_sender();
+      throw;
     }
+  });
+  if (hello_error != nullptr && failure == LegFailure::TransportDeath) {
+    failure = LegFailure::NoRendezvous;
   }
 
-  // --- resume attempts: retransmit only past the acked watermark -----------
-  const std::uint64_t total_chunks = collected ? (stream.size() + cb - 1) / cb : 0;
-  double backoff = options.retry_backoff_seconds;
-  while (rendezvoused && collected && !attempt_ok && !unconfirmed && !killed &&
-         !fatal_other && program_error == nullptr && attempts_used < total_attempts &&
-         !session.terminal() && dest.resumable()) {
-    if (backoff > 0) {
-      std::this_thread::sleep_for(std::chrono::duration<double>(backoff));
-      backoff = std::min(backoff * 2, options.retry_backoff_cap_seconds);
-    }
-    ++attempts_used;
-    report.attempts = attempts_used;
-    CoordinatorMetrics::get().attempts.add(1);
-    CoordinatorMetrics::get().retries.add(1);
-    try {
-      note_link_lost();  // the machine must be Resuming to accept ResumeHello
-      PortPair fresh = wiring.connect();
-      if (!dest.offer(std::move(fresh.destination))) {
-        report.failure_causes.push_back("attempt " + std::to_string(attempts_used) +
-                                        ": destination no longer accepts a resume channel");
-        break;
-      }
-      if (inbox != nullptr) {
-        inbox->stop();
-        inbox.reset();  // the pump must be gone before its port is
-      }
-      src_port = std::move(fresh.source);
-      src_port->set_timeout(deadline.current());
-      session.on_frame(src_port->recv());  // ResumeHello: version/txn/bound-checked
-      const std::uint32_t next_seq = session.resume_next_seq();
-      ResumeMetrics::get().attempts.add(1);
-      ResumeMetrics::get().chunks_skipped.add(next_seq);
-      report.resumed_from_seq = static_cast<std::int64_t>(next_seq);
-      inbox = std::make_unique<ControlInbox>(*src_port, session);
-      {
-        obs::Span tx_span("mig.tx");
-        tx_span.arg("transport", std::string(net::transport_name(options.transport)));
-        tx_span.arg("resumed_from", std::uint64_t{next_seq});
-        PipelineMetrics& pm = PipelineMetrics::get();
-        for (std::uint64_t seq = next_seq; seq < total_chunks; ++seq) {
-          const std::span<const std::uint8_t> body = read_chunk(seq);
-          // A dedup stream's chunk payloads carry a codec tag byte; resume
-          // retransmits everything raw (tag 0) — former cache hits included,
-          // since the destination stopped splicing when the link dropped.
-          src_port->send(net::MsgType::StateChunk,
-                         dedup ? net::encode_state_chunk_coded(
-                                     static_cast<std::uint32_t>(seq), 0, body)
-                               : net::encode_state_chunk(
-                                     static_cast<std::uint32_t>(seq), body));
-          pm.chunks.add(1);
-          pm.chunk_bytes.record(static_cast<double>(body.size()));
+  // --- the ladder: every later rung re-sends out of the retained stream.
+  while (collected) {
+    // Resumable: the host parks for a new binding and the machine can
+    // take link_lost (a leg that died before streaming has nothing to resume).
+    const SessionState state = session->state();
+    const Rung rung = next_rung({.failure = failure,
+                                 .resumable = host != nullptr && host->resumable() &&
+                                              (state == SessionState::Streaming ||
+                                               state == SessionState::Prepared ||
+                                               state == SessionState::Resuming),
+                                 .attempts_used = report.attempts,
+                                 .total_attempts = total_attempts,
+                                 .standbys = standbys,
+                                 .next_standby = next_standby,
+                                 .incarnation = session->incarnation()});
+    if (rung.kind == RungKind::Stop || rung.kind == RungKind::Fail) break;
+    const std::uint32_t inc = rung.incarnation;
+
+    if (rung.kind == RungKind::Resume) {
+      // Same leg, fresh binding: the host parked on its port failure and
+      // announces its watermark in ResumeHello; only [watermark, end)
+      // travels.
+      const std::string label = spend_retry();
+      failure = guarded(label, [&] {
+        // The machine must be Resuming to accept ResumeHello.
+        if (session->state() != SessionState::Resuming) session->link_lost();
+        PortPair fresh = wiring.connect();
+        if (!host->offer(std::move(fresh.destination))) {
+          report.failure_causes.push_back(
+              label + ": destination no longer accepts a resume channel");
+          return LegFailure::TransportDeath;
         }
-        src_port->send(net::MsgType::StateEnd, net::encode_state_end(end));
-        measured_tx += tx_span.finish();
-      }
-      const CommitResult r =
-          source_commit_phase(*src_port, *inbox, session, deadline, txn, digest,
-                              src_journal);
-      unconfirmed = (r == CommitResult::Unconfirmed);
-      attempt_ok = true;
-    } catch (const KilledError& e) {
-      killed = true;
-      report.failure_causes.push_back("attempt " + std::to_string(attempts_used) + ": " +
-                                      e.what());
-      fail_channel();
-    } catch (const Error& e) {
-      report.failure_causes.push_back("attempt " + std::to_string(attempts_used) + ": " +
-                                      e.what());
-      fail_channel();
+        if (inbox != nullptr) {
+          inbox->stop();
+          inbox.reset();
+        }
+        port = std::move(fresh.source);
+        port->set_timeout(deadline.current());
+        session->on_frame(port->recv());  // ResumeHello: version/txn/bound-checked
+        const std::uint32_t next_seq = session->resume_next_seq();
+        ResumeMetrics::get().attempts.add(1);
+        ResumeMetrics::get().chunks_skipped.add(next_seq);
+        report.resumed_from_seq = static_cast<std::int64_t>(next_seq);
+        inbox = std::make_unique<ControlInbox>(*port, *session);
+        return send_and_commit("resumed_from", next_seq, false, next_seq);
+      });
+      continue;
     }
-  }
 
-  // --- destination failover: re-target the stream at a standby --------------
-  // The primary is now presumed dead (resume budget exhausted, host
-  // crashed, or the session was supervisor-cancelled). A terminal session
-  // is excluded on purpose: a destination that REJECTED the handoff
-  // (Nack, digest mismatch) made a protocol decision, and re-playing the
-  // same stream at a standby would just re-earn it.
-  bool standby_finished = false;
-  if (collected && !attempt_ok && !unconfirmed && !killed && !fatal_other &&
-      program_error == nullptr && !session.terminal() &&
-      options.failover.enabled() && wiring.connect_standby != nullptr) {
-    const Clock::time_point declared_dead = Clock::now();
-    FailoverMetrics::get().triggered.add(1);
-    // Tear the primary endpoint down completely before any standby frame
-    // can race its stragglers.
-    if (inbox != nullptr) {
-      inbox->stop();
-      inbox.reset();
+    // A new leg. Tear the old one down completely before any frame of the
+    // new one can race its stragglers.
+    if (rung.kind == RungKind::Standby && declared_dead == Clock::time_point{}) {
+      declared_dead = Clock::now();
+      FailoverMetrics::get().triggered.add(1);
     }
-    dest.close();
-    dest.join();
-    try {
-      if (src_port != nullptr) src_port->close();
-    } catch (...) {
+    end_leg();
+    if (rung.kind == RungKind::Replay) {
+      const std::string label = spend_retry();
+      // A fresh machine: after a veto the old one sits in Aborted, and
+      // Aborted stays terminal.
+      session = std::make_unique<SourceSession>(wiring.session_id, txn);
+      session->set_stream(end.chunk_count, digest);
+      session->redirect_decided(inc);
+      failure = guarded(label, [&] {
+        start_leg(options, inc, wiring.connect());
+        rendezvous();
+        begin_leg(inc, "replay at the primary");
+        return send_and_commit("replay_incarnation", inc, leg_dedup, 0);
+      });
+      continue;
     }
-    src_port.reset();
 
     const FailoverPolicy& fo = options.failover;
-    for (std::size_t k = 0; k < fo.standbys.size() && !session.terminal(); ++k) {
-      const DestinationCandidate& cand = fo.standbys[k];
-      const std::string label =
-          cand.name.empty() ? "standby-" + std::to_string(k + 1) : cand.name;
-      const auto inc = static_cast<std::uint32_t>(k + 2);
-
-      // Dial under the policy's per-candidate budget.
-      PortPair fresh;
-      bool dialed = false;
-      std::string dial_cause = "dial budget is zero";
-      double dial_backoff = fo.dial_backoff_seconds;
-      for (int d = 0; d < std::max(1, fo.dial_attempts); ++d) {
-        if (d > 0 && dial_backoff > 0) {
-          std::this_thread::sleep_for(std::chrono::duration<double>(dial_backoff));
-          dial_backoff = std::min(dial_backoff * 2, fo.dial_backoff_cap_seconds);
-        }
-        try {
-          fresh = wiring.connect_standby(k);
-          dialed = true;
-          break;
-        } catch (const Error& e) {
-          dial_cause = e.what();
-        }
+    const DestinationCandidate& cand = fo.standbys[rung.standby];
+    next_standby = rung.standby + 1;
+    const std::string label =
+        "failover to " +
+        (cand.name.empty() ? "standby-" + std::to_string(rung.standby + 1) : cand.name);
+    // Dial under the policy's per-candidate budget; a failed dial spends
+    // no attempt.
+    PortPair fresh;
+    std::string dial_cause = "dial budget is zero";
+    bool dialed = false;
+    double dial_backoff = fo.dial_backoff_seconds;
+    for (int d = 0; d < std::max(1, fo.dial_attempts) && !dialed; ++d) {
+      if (d > 0 && dial_backoff > 0) {
+        std::this_thread::sleep_for(std::chrono::duration<double>(dial_backoff));
+        dial_backoff = std::min(dial_backoff * 2, fo.dial_backoff_cap_seconds);
       }
-      if (!dialed) {
-        FailoverMetrics::get().dial_failures.add(1);
-        report.failure_causes.push_back("failover to " + label + ": " + dial_cause);
-        continue;
-      }
-
-      ++attempts_used;
-      report.attempts = attempts_used;
-      CoordinatorMetrics::get().attempts.add(1);
-      FailoverMetrics::get().redirects.add(1);
-      ++report.failovers;
-      session.redirect_decided(inc);
-
-      // The candidate runs under its own destination config (its own
-      // chunk store, its own chaos script) and its own intent journal —
-      // the incarnation-suffixed file arbitration scans alongside the
-      // primary's.
-      RunOptions cand_options = options;
-      cand_options.chunk_cache_dir = cand.chunk_cache_dir;
-      cand_options.dest_fault_plan = cand.dest_fault_plan;
-      Journal cand_journal;
-      if (standby_journal_path) {
-        const std::string path = standby_journal_path(inc);
-        if (!path.empty()) cand_journal.open(path);
-      }
-      DestinationHost standby(cand_options, report, cand_journal, src_journal.path(),
-                              deadline, wiring.session_id);
-      standby.start(std::move(fresh.destination));
-      src_port = std::move(fresh.source);
-      src_port->set_timeout(deadline.current());
       try {
-        session.on_frame(src_port->recv());  // the standby's own Hello
-        session.begin_streaming();
-        inbox = std::make_unique<ControlInbox>(*src_port, session);
-        // Write-ahead: the redirect exists on disk before any frame names
-        // the new incarnation on the wire.
-        src_journal.append(
-            {JournalRecordType::Begin, txn, 0, inc, "failover to " + label});
-        src_port->send(net::MsgType::StateBegin,
-                       net::encode_state_begin({options.chunk_bytes, txn, inc}));
-        obs::Span tx_span("mig.tx");
-        tx_span.arg("transport", std::string(net::transport_name(options.transport)));
-        tx_span.arg("failover_incarnation", std::uint64_t{inc});
-        if (!cand.chunk_cache_dir.empty()) {
-          // Warm standby: negotiate against ITS store; only misses travel.
-          negotiate_and_send();
-        } else {
-          PipelineMetrics& pm = PipelineMetrics::get();
-          for (std::uint64_t seq = 0; seq < total_chunks; ++seq) {
-            const std::span<const std::uint8_t> body = read_chunk(seq);
-            src_port->send(net::MsgType::StateChunk,
-                           net::encode_state_chunk(static_cast<std::uint32_t>(seq),
-                                                   body));
-            pm.chunks.add(1);
-            pm.chunk_bytes.record(static_cast<double>(body.size()));
-          }
-          src_port->send(net::MsgType::StateEnd, net::encode_state_end(end));
-        }
-        measured_tx += tx_span.finish();
-        const CommitResult r =
-            source_commit_phase(*src_port, *inbox, session, deadline, txn, digest,
-                                src_journal);
-        unconfirmed = (r == CommitResult::Unconfirmed);
-        attempt_ok = true;
-      } catch (const KilledError& e) {
-        killed = true;
-        report.failure_causes.push_back("failover to " + label + ": " + e.what());
-        fail_channel();
+        fresh = wiring.connect_standby(rung.standby);
+        dialed = true;
       } catch (const Error& e) {
-        report.failure_causes.push_back("failover to " + label + ": " + e.what());
-        fail_channel();
-      }
-      if (inbox != nullptr) {
-        inbox->stop();
-        inbox.reset();
-      }
-      standby.close();
-      standby.join();
-      try {
-        if (src_port != nullptr) src_port->close();
-      } catch (...) {
-      }
-      src_port.reset();
-      if (attempt_ok || unconfirmed || killed) {
-        standby_finished = standby.finished();
-        if (attempt_ok || unconfirmed) {
-          const double downtime =
-              std::chrono::duration<double>(Clock::now() - declared_dead).count();
-          report.failover_downtime_seconds = downtime;
-          FailoverMetrics::get().downtime.record(downtime);
-        }
-        break;
+        dial_cause = e.what();
       }
     }
+    if (!dialed) {
+      FailoverMetrics::get().dial_failures.add(1);
+      report.failure_causes.push_back(label + ": " + dial_cause);
+      failure = LegFailure::DialFailed;
+      continue;
+    }
+    spend_attempt();
+    FailoverMetrics::get().redirects.add(1);
+    ++report.failovers;
+    session->redirect_decided(inc);
+    // The candidate runs under its own destination config (its own chunk
+    // store, its own chaos script) and its own intent journal.
+    standby_options = options;
+    standby_options.chunk_cache_dir = cand.chunk_cache_dir;
+    standby_options.dest_fault_plan = cand.dest_fault_plan;
+    start_leg(standby_options, inc, std::move(fresh));
+    failure = guarded(label, [&] {
+      rendezvous();
+      begin_leg(inc, label);
+      return send_and_commit("failover_incarnation", inc, leg_dedup, 0);
+    });
   }
   const Clock::time_point pipeline_end = Clock::now();
+  end_leg();
 
-  // --- teardown -------------------------------------------------------------
-  if (inbox != nullptr) inbox->stop();
-  dest.close();
-  dest.join();
-  try {
-    if (src_port != nullptr) src_port->close();
-  } catch (...) {
-  }
-
-  if (program_error != nullptr) std::rethrow_exception(program_error);
-  if (fatal_other) std::rethrow_exception(source_error);
-
+  if (failure == LegFailure::ProgramError) std::rethrow_exception(program_error);
+  if (failure == LegFailure::Foreign) std::rethrow_exception(foreign_error);
   if (!collected) {
     // The workload already finished on the source; a torn-down teardown
     // handshake doesn't change its fate.
     return TxnResult::CompletedLocally;
   }
-  report.dest_incarnation = session.incarnation();
-  const bool dest_finished = dest.finished() || standby_finished;
-  if (killed) {
-    report.migrated = dest_finished;
+  report.dest_incarnation = session->incarnation();
+  if (failure == LegFailure::Killed) {
+    report.migrated = leg_finished;
     return TxnResult::SourceCrashed;
   }
+  if (failure != LegFailure::None) {
+    // Durable before the local restore begins: a crash mid-degradation
+    // must still arbitrate to the source.
+    src_journal.append({JournalRecordType::Abort, txn, 0, session->incarnation(),
+                        "degraded to local completion"});
+    TxnMetrics::get().aborts.add(1);
+    return TxnResult::Failed;
+  }
+  if (report.failovers > 0) {
+    const double downtime =
+        std::chrono::duration<double>(Clock::now() - declared_dead).count();
+    report.failover_downtime_seconds = downtime;
+    FailoverMetrics::get().downtime.record(downtime);
+  }
   if (unconfirmed) {
-    report.migrated = dest_finished;
+    report.migrated = leg_finished;
     return TxnResult::CommittedUnconfirmed;
   }
-  if (attempt_ok) {
-    report.migrated = true;
-    report.tx_seconds =
-        options.throttle ? measured_tx : options.link.transfer_seconds(stream.size());
-    // Overlap: wall-clock from the first chunk leaving collection to the
-    // acknowledged restore, vs. the sum of the three phase timings. Fully
-    // serial execution gives 0; perfect overlap approaches 1.
-    const double wall = std::chrono::duration<double>(pipeline_end - pipeline_start).count();
-    const double phases = report.collect_seconds + measured_tx + report.restore_seconds;
-    if (wall > 0 && phases > 0) {
-      report.overlap_ratio = std::clamp(1.0 - wall / phases, 0.0, 1.0);
-    }
-    PipelineMetrics::get().overlap.record(report.overlap_ratio);
-    return TxnResult::Migrated;
+  report.migrated = true;
+  report.tx_seconds =
+      options.throttle ? measured_tx : options.link.transfer_seconds(stream.size());
+  // Overlap: wall-clock from the first chunk leaving collection to the
+  // acknowledged restore, vs. the sum of the three phase timings. Fully
+  // serial execution gives 0; perfect overlap approaches 1.
+  const double wall = std::chrono::duration<double>(pipeline_end - pipeline_start).count();
+  const double phases = report.collect_seconds + measured_tx + report.restore_seconds;
+  if (wall > 0 && phases > 0) {
+    report.overlap_ratio = std::clamp(1.0 - wall / phases, 0.0, 1.0);
   }
-  return TxnResult::Failed;
+  PipelineMetrics::get().overlap.record(report.overlap_ratio);
+  return TxnResult::Migrated;
 }
 
 }  // namespace hpm::mig

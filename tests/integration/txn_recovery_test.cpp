@@ -2,23 +2,26 @@
 //
 // Three suites:
 //  - TxnRecovery: the crash matrix. An injected process death (KilledError)
-//    at each protocol state — mid-chunk-stream, pre-Prepare, post-Commit,
-//    dest post-Prepared, dest post-Committed — after which exactly one
-//    endpoint owns the workload and Coordinator::recover() reaches the
-//    same verdict from the journals alone.
+//    at each protocol state — dest before its Hello, mid-chunk-stream,
+//    pre-Prepare, post-Commit, dest post-Prepared, dest post-Committed —
+//    after which exactly one endpoint owns the workload and
+//    Coordinator::recover() reaches the same verdict from the journals
+//    alone.
 //  - Resume: a mid-stream disconnect resumes from the acked chunk
 //    watermark; the net.* byte counters prove only the tail was
 //    retransmitted, and the restored state is identical to a clean run.
 //  - Digest: a single-byte corruption of the canonical stream that passes
 //    the frame CRC (CorruptMasked) is caught by the end-to-end digest
-//    before the destination may vote, then degrades per the PR-1 failure
-//    model (clean serial retry).
+//    before the destination may vote; the veto is then replayed at the
+//    primary as a journaled two-phase leg under incarnation 2.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
 #include <filesystem>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "apps/bitonic.hpp"
 #include "mig/coordinator.hpp"
@@ -175,6 +178,45 @@ TEST_F(TxnRecovery, CleanRunClosesTheTransaction) {
   EXPECT_TRUE(v.completed) << "Done recorded: nothing to recover";
 }
 
+TEST_F(TxnRecovery, PrimaryDeadBeforeHelloReplaysAtThePrimary) {
+  // The primary dies sending its Hello and no standby is configured. The
+  // program must still run to its trigger (collecting sink-less), and the
+  // retry budget buys a replay on a fresh primary host under incarnation 2.
+  apps::BitonicResult result;
+  RunOptions options = matrix_options(result);
+  options.max_retries = 1;
+  options.io_timeout_seconds = 1.0;
+  options.dest_fault_plan = net::FaultPlan::kill_after(0);
+
+  const MigrationReport report = run_migration(options);
+  EXPECT_EQ(report.outcome, MigrationOutcome::Migrated);
+  EXPECT_EQ(report.attempts, 2);
+  EXPECT_EQ(report.dest_incarnation, 2u);
+  EXPECT_TRUE(result.ok()) << "the workload ran exactly once, on the replayed primary";
+
+  const RecoveryVerdict v = recover();
+  EXPECT_EQ(v.owner, TxnOwner::Destination) << v.reason;
+  EXPECT_EQ(v.incarnation, 2u) << v.reason;
+  EXPECT_TRUE(v.completed) << v.reason;
+}
+
+TEST_F(TxnRecovery, PrimaryDeadBeforeHelloWithoutBudgetCompletesLocally) {
+  // Same death, no retry budget: the source still runs the program to its
+  // trigger and then finishes it locally — the workload is never lost.
+  apps::BitonicResult result;
+  RunOptions options = matrix_options(result);
+  options.io_timeout_seconds = 1.0;
+  options.dest_fault_plan = net::FaultPlan::kill_after(0);
+
+  const MigrationReport report = run_migration(options);
+  EXPECT_EQ(report.outcome, MigrationOutcome::AbortedContinuedLocally);
+  EXPECT_FALSE(report.migrated);
+  EXPECT_TRUE(result.ok()) << "the source finished the workload locally";
+
+  const RecoveryVerdict v = recover();
+  EXPECT_EQ(v.owner, TxnOwner::Source) << v.reason;
+}
+
 // --- resumable transfer ----------------------------------------------------
 
 /// Small-chunk pipelined run used by the resume and digest suites.
@@ -299,6 +341,68 @@ TEST(Digest, MaskedCorruptionIsCaughtBeforeCommit) {
       << "masked corruption must NOT be a frame-CRC catch";
   EXPECT_TRUE(result.ok());
   EXPECT_EQ(result.sum_after, probe_result.sum_after);
+}
+
+TEST(Digest, VetoReplaysAsAJournaledTwoPhaseLeg) {
+  // The masked corruption of MaskedCorruptionIsCaughtBeforeCommit, now
+  // with journals: the digest veto aborts incarnation 1, and the replay at
+  // the primary is a full Prepare/Commit leg under incarnation 2 with its
+  // own destination journal — so arbitration names it, and no record
+  // claims incarnation 1 committed.
+  apps::BitonicResult probe_result;
+  RunOptions probe = streaming_options(probe_result);
+  const MigrationReport p = run_migration(probe);
+  ASSERT_EQ(p.outcome, MigrationOutcome::Migrated);
+  const std::uint64_t stream = p.stream_bytes;
+  const std::uint64_t chunks = (stream + 511) / 512;
+  const std::uint64_t last_len = stream - (chunks - 1) * 512;
+  ASSERT_GT(last_len, 4u);
+
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("hpm_digest_replay_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  apps::BitonicResult result;
+  RunOptions options = streaming_options(result);
+  options.journal_dir = dir.string();
+  options.txn_id = kTxn;
+  options.fault_plan.kind = net::FaultKind::CorruptMasked;
+  options.fault_plan.offset =
+      kStateBeginWire + (chunks - 1) * kChunkWire + 9 + (last_len - 2);
+
+  const MigrationReport report = run_migration(options);
+  EXPECT_EQ(report.outcome, MigrationOutcome::Migrated);
+  EXPECT_EQ(report.attempts, 2);
+  EXPECT_EQ(report.dest_incarnation, 2u);
+  EXPECT_TRUE(result.ok());
+  EXPECT_EQ(result.sum_after, probe_result.sum_after);
+
+  using R = JournalRecordType;
+  auto records = [&](const std::string& name) {
+    std::vector<std::pair<R, std::uint32_t>> out;
+    for (const JournalRecord& r : Journal::replay((dir / name).string())) {
+      EXPECT_EQ(r.txn_id, kTxn);
+      out.emplace_back(r.type, r.incarnation);
+    }
+    return out;
+  };
+  const std::vector<std::pair<R, std::uint32_t>> want_source = {
+      {R::Begin, 1}, {R::Abort, 1}, {R::Begin, 2}, {R::Commit, 2}, {R::Done, 2}};
+  EXPECT_EQ(records(kSourceJournalName), want_source);
+  const std::vector<std::pair<R, std::uint32_t>> want_replay = {
+      {R::Begin, 2}, {R::Prepared, 2}, {R::Committed, 2}};
+  EXPECT_EQ(records(dest_journal_name(2)), want_replay);
+  for (const auto& [type, inc] : records(kDestJournalName)) {
+    EXPECT_TRUE(type != R::Prepared && type != R::Committed)
+        << "the vetoing primary must never have voted or committed";
+  }
+
+  const RecoveryVerdict v = Coordinator::recover(dir.string());
+  EXPECT_EQ(v.owner, TxnOwner::Destination) << v.reason;
+  EXPECT_EQ(v.incarnation, 2u) << v.reason;
+  EXPECT_EQ(v.committed_destinations, 1u) << v.reason;
+  EXPECT_TRUE(v.completed) << v.reason;
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Digest, CleanStreamsCarryTheDigestEndToEnd) {

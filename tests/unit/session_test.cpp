@@ -4,6 +4,8 @@
 // an illegal pair poisons the session into Aborted and raises
 // hpm::ProtocolError; a protocol-legal failure (Nack/Error frames, txn or
 // digest or version mismatch) aborts with hpm::MigrationError instead.
+// The recovery ladder's rule table (next_rung) is checked the same way:
+// hand-picked rows for each rule, then a sweep over every input.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -11,6 +13,7 @@
 #include <vector>
 
 #include "mig/session.hpp"
+#include "mig/source_txn.hpp"
 #include "net/message.hpp"
 
 namespace hpm::mig {
@@ -402,6 +405,167 @@ TEST(SessionMachines, PerSessionInstrumentsAreLabeledByIdAndRole) {
             static_cast<std::int64_t>(SessionState::Hello));
   // The destination half of the same session id keeps separate books.
   EXPECT_EQ(snap.counter(prefix + "destination.frames"), 0u);
+}
+
+// --- the recovery ladder (next_rung, source_txn.hpp) -----------------------
+
+const char* rung_name(RungKind kind) {
+  switch (kind) {
+    case RungKind::Stop: return "stop";
+    case RungKind::Resume: return "resume";
+    case RungKind::Standby: return "standby";
+    case RungKind::Replay: return "replay";
+    case RungKind::Fail: return "fail";
+  }
+  return "?";
+}
+
+struct LadderRow {
+  const char* why;
+  LadderState in;
+  RungKind kind;
+  std::uint32_t incarnation = 0;  ///< checked for Resume/Standby/Replay
+  std::size_t standby = 0;        ///< checked for Standby
+};
+
+LadderState ladder(LegFailure failure, bool resumable, int used, int total,
+                   std::size_t standbys, std::size_t next_standby, std::uint32_t inc) {
+  return {.failure = failure,
+          .resumable = resumable,
+          .attempts_used = used,
+          .total_attempts = total,
+          .standbys = standbys,
+          .next_standby = next_standby,
+          .incarnation = inc};
+}
+
+TEST(LadderTable, EachRulePicksItsRung) {
+  using F = LegFailure;
+  using K = RungKind;
+  const LadderRow rows[] = {
+      // Stop: the leg's own result stands, whatever budget and standbys remain.
+      {"committed", ladder(F::None, true, 1, 3, 2, 0, 1), K::Stop},
+      {"source killed", ladder(F::Killed, true, 1, 3, 2, 0, 1), K::Stop},
+      {"program threw", ladder(F::ProgramError, false, 1, 3, 2, 0, 1), K::Stop},
+      {"foreign exception", ladder(F::Foreign, true, 1, 3, 2, 0, 1), K::Stop},
+      // Resume: same candidate, same incarnation.
+      {"transport death, resumable", ladder(F::TransportDeath, true, 1, 3, 0, 0, 1),
+       K::Resume, 1},
+      {"transport death on a standby leg", ladder(F::TransportDeath, true, 2, 3, 2, 1, 2),
+       K::Resume, 2},
+      {"transport death on a replay leg", ladder(F::TransportDeath, true, 2, 3, 0, 0, 2),
+       K::Resume, 2},
+      // The destination is declared dead: next standby, else replay, else fail.
+      {"host gone, one standby", ladder(F::TransportDeath, false, 1, 3, 1, 0, 1),
+       K::Standby, 2, 0},
+      {"resume budget spent, one standby", ladder(F::TransportDeath, true, 3, 3, 1, 0, 1),
+       K::Standby, 2, 0},
+      {"first standby died too", ladder(F::TransportDeath, false, 2, 1, 2, 1, 2),
+       K::Standby, 3, 1},
+      {"host gone, no standby", ladder(F::TransportDeath, false, 1, 3, 0, 0, 1), K::Replay,
+       2},
+      {"budget spent, no standby", ladder(F::TransportDeath, true, 3, 3, 0, 0, 1), K::Fail},
+      {"every standby used, budget left", ladder(F::TransportDeath, false, 2, 3, 1, 1, 2),
+       K::Replay, 3},
+      {"every standby used, budget spent", ladder(F::TransportDeath, false, 3, 3, 2, 2, 3),
+       K::Fail},
+      {"replay leg died, standbys are behind it",
+       ladder(F::TransportDeath, false, 2, 3, 1, 0, 3), K::Replay, 4},
+      // A veto never takes a standby; the replay outranks every standby.
+      {"veto, no standby", ladder(F::Veto, false, 1, 3, 0, 0, 1), K::Replay, 2},
+      {"veto, one standby", ladder(F::Veto, false, 1, 3, 1, 0, 1), K::Replay, 3},
+      {"veto, two standbys", ladder(F::Veto, false, 1, 3, 2, 0, 1), K::Replay, 4},
+      {"veto on a resumable host", ladder(F::Veto, true, 1, 3, 0, 0, 1), K::Replay, 2},
+      {"veto, budget spent", ladder(F::Veto, false, 1, 1, 2, 0, 1), K::Fail},
+      {"veto on a replay leg", ladder(F::Veto, false, 2, 3, 0, 0, 2), K::Replay, 3},
+      // A supervisor cancel may re-target a standby, never the primary.
+      {"cancel, one standby", ladder(F::Cancelled, false, 1, 3, 1, 0, 1), K::Standby, 2, 0},
+      {"cancel, two standbys", ladder(F::Cancelled, false, 1, 3, 2, 0, 1), K::Standby, 2,
+       0},
+      {"cancel, no standby", ladder(F::Cancelled, false, 1, 3, 0, 0, 1), K::Fail},
+      {"cancel on a resumable host", ladder(F::Cancelled, true, 1, 3, 0, 0, 1), K::Fail},
+      {"cancel, standbys used up", ladder(F::Cancelled, false, 2, 3, 1, 1, 2), K::Fail},
+      // The primary's Hello never came.
+      {"no hello, one standby, no budget", ladder(F::NoRendezvous, false, 1, 1, 1, 0, 1),
+       K::Standby, 2, 0},
+      {"no hello, no standby", ladder(F::NoRendezvous, false, 1, 3, 0, 0, 1), K::Replay, 2},
+      {"no hello, budget spent", ladder(F::NoRendezvous, false, 1, 1, 0, 0, 1), K::Fail},
+      // A failed dial spent no attempt and moves to the next candidate.
+      {"dial failed, another standby", ladder(F::DialFailed, false, 1, 1, 2, 1, 1),
+       K::Standby, 3, 1},
+      {"dial failed, last standby, budget left", ladder(F::DialFailed, false, 1, 3, 1, 1, 1),
+       K::Replay, 3},
+      {"dial failed, last standby, budget spent", ladder(F::DialFailed, false, 1, 1, 1, 1, 1),
+       K::Fail},
+  };
+  for (const LadderRow& row : rows) {
+    SCOPED_TRACE(row.why);
+    const Rung got = next_rung(row.in);
+    EXPECT_EQ(got.kind, row.kind) << rung_name(got.kind) << " vs " << rung_name(row.kind);
+    if (row.kind == RungKind::Resume || row.kind == RungKind::Standby ||
+        row.kind == RungKind::Replay) {
+      EXPECT_EQ(got.incarnation, row.incarnation);
+    }
+    if (row.kind == RungKind::Standby) {
+      EXPECT_EQ(got.standby, row.standby);
+    }
+  }
+}
+
+TEST(LadderTable, InvariantsHoldOverEveryInput) {
+  const LegFailure failures[] = {
+      LegFailure::None,      LegFailure::Killed,         LegFailure::ProgramError,
+      LegFailure::Foreign,   LegFailure::Veto,           LegFailure::TransportDeath,
+      LegFailure::Cancelled, LegFailure::NoRendezvous,   LegFailure::DialFailed};
+  int checked = 0;
+  for (const LegFailure f : failures) {
+    for (const bool resumable : {false, true}) {
+      for (const int used : {1, 2, 3}) {
+        for (std::size_t standbys = 0; standbys <= 2; ++standbys) {
+          for (std::size_t next = 0; next <= standbys; ++next) {
+            for (std::uint32_t inc = 1; inc <= 5; ++inc) {
+              const LadderState in = ladder(f, resumable, used, 3, standbys, next, inc);
+              const Rung r = next_rung(in);
+              SCOPED_TRACE(std::string(rung_name(r.kind)) + " for failure " +
+                           std::to_string(static_cast<int>(f)) + ", resumable " +
+                           std::to_string(resumable) + ", used " + std::to_string(used) +
+                           ", standbys " + std::to_string(standbys) + ", next " +
+                           std::to_string(next) + ", inc " + std::to_string(inc));
+              ++checked;
+              const bool ends_leg = f == LegFailure::None || f == LegFailure::Killed ||
+                                    f == LegFailure::ProgramError ||
+                                    f == LegFailure::Foreign;
+              EXPECT_EQ(r.kind == RungKind::Stop, ends_leg);
+              if (r.kind == RungKind::Resume) {
+                EXPECT_EQ(f, LegFailure::TransportDeath);
+                EXPECT_TRUE(resumable);
+                EXPECT_LT(used, 3);
+                EXPECT_EQ(r.incarnation, inc);
+              }
+              if (r.kind == RungKind::Standby) {
+                EXPECT_NE(f, LegFailure::Veto) << "a veto never takes a standby rung";
+                EXPECT_EQ(r.standby, next);
+                EXPECT_LT(r.standby, standbys);
+                EXPECT_EQ(r.incarnation, r.standby + 2) << "standby k is incarnation k+2";
+                EXPECT_GT(r.incarnation, inc) << "fencing tokens only grow";
+              }
+              if (r.kind == RungKind::Replay) {
+                EXPECT_NE(f, LegFailure::Cancelled)
+                    << "a supervisor cancel never re-targets the primary";
+                EXPECT_LT(used, 3);
+                EXPECT_GT(r.incarnation, inc);
+                EXPECT_GE(r.incarnation, standbys + 2) << "above every standby's";
+              }
+              if (r.kind == RungKind::Fail) {
+                EXPECT_TRUE(used == 3 || f == LegFailure::Cancelled);
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 1000);
 }
 
 }  // namespace
